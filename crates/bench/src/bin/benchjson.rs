@@ -9,9 +9,10 @@
 //! scheduler (`hamr`) and under the centralized scheduler it replaced
 //! (`hamr-central`), so every snapshot carries its own scheduler
 //! ablation. Every HAMR row also reports the skew-mitigation counters
-//! (`combined_records` / `splits_triggered` / `shards_migrated`) — the
-//! default runtime runs with combining and hot-key splitting on, so
-//! the headline rows measure the mitigated engine.
+//! (`combined_records`, and `splits_triggered`, which is always 0 now
+//! that the in-node combiner is the one skew mechanism) — the default
+//! runtime runs with combining on, so the headline rows measure the
+//! mitigated engine.
 //!
 //! Schema 5 adds per-iteration columns: every row carries an `iters`
 //! array (`iter_shuffled_bytes`, `iter_records_s`, `cache_hits`,
@@ -61,7 +62,7 @@
 //! meaningless across shapes, so each benchmark gates on its
 //! hamr/mapred throughput *ratio* — machine- and scale-invariant. The
 //! gate additionally fails outright (independent of the baseline) when
-//! the skewed HistogramRatings row inverts: with the mitigations on by
+//! the skewed HistogramRatings row inverts: with the combiner on by
 //! default, HAMR losing to the MapReduce baseline on its own headline
 //! skew case is a regression no threshold excuses. It also fails when
 //! the chain cache stops collapsing the iterative shuffle: on every
@@ -69,10 +70,10 @@
 //! the `PageRank-nocache` full-shuffle bytes for that same iteration.
 //!
 //! `--skew-ablation` runs the skewed HistogramRatings workload once
-//! per mitigation combination (off / combine / split / rebalance /
-//! all) plus a MapReduce reference, demands bit-identical checksums
-//! across every combination, and writes the per-combo walls and
-//! mitigation counters to a `skew_ablation` section of the snapshot.
+//! with the combiner off and once with it on, plus a MapReduce
+//! reference, demands bit-identical checksums across all three, and
+//! writes the per-combo walls and combined-record counts to a
+//! `skew_ablation` section of the snapshot.
 //!
 //! `--metrics-out FILE` runs WordCount once more with the cluster's
 //! introspection endpoint live, scrapes `/metrics` from a side thread
@@ -157,12 +158,11 @@ struct Row {
     /// control / on the network (causal attribution buckets).
     stall_share: f64,
     net_share: f64,
-    /// Skew-mitigation counters: records folded away by combiners and
-    /// absorbers, hot reduce partitions split across nodes, and shards
-    /// migrated by the rebalance planner. All zero for mapred.
+    /// Skew-mitigation counters: records folded away by the in-node
+    /// combiner, and hot-key splits (always 0; the splitter was
+    /// removed). All zero for mapred.
     combined_records: u64,
     splits_triggered: u64,
-    shards_migrated: u64,
     /// Data-plane sketch figures (schema 6): estimated distinct
     /// shuffle keys and the hottest key's record share. Zero when
     /// `HAMR_STATS=off`.
@@ -225,7 +225,6 @@ impl Row {
             net_share: 0.0,
             combined_records: out.combined_records,
             splits_triggered: out.splits_triggered,
-            shards_migrated: out.shards_migrated,
             distinct_keys: out.distinct_keys,
             hot_key_share: out.hot_key_share,
             exact_distinct: out.exact_distinct_keys,
@@ -281,7 +280,6 @@ impl Row {
                 "\"critical_path_ms\":{:.3},\"stall_share\":{:.4},",
                 "\"net_share\":{:.4},",
                 "\"combined_records\":{},\"splits_triggered\":{},",
-                "\"shards_migrated\":{},",
                 "\"distinct_keys\":{},\"hot_key_share\":{:.4},",
                 "\"iters\":{}}}"
             ),
@@ -303,7 +301,6 @@ impl Row {
             self.net_share,
             self.combined_records,
             self.splits_triggered,
-            self.shards_migrated,
             self.distinct_keys,
             self.hot_key_share,
             self.iters_json(),
@@ -312,7 +309,7 @@ impl Row {
 
     fn tsv(&self) -> String {
         format!(
-            "{}\t{}\t{:.1}\t{:.6}\t{}\t{:.3}\t{}\t{:.6}\t{:.4}\t{:.3}\t{:.4}\t{:.4}\t{}\t{}\t{}\t{}\t{:.4}",
+            "{}\t{}\t{:.1}\t{:.6}\t{}\t{:.3}\t{}\t{:.6}\t{:.4}\t{:.3}\t{:.4}\t{:.4}\t{}\t{}\t{}\t{:.4}",
             self.benchmark,
             self.engine,
             self.records_per_sec,
@@ -327,7 +324,6 @@ impl Row {
             self.net_share,
             self.combined_records,
             self.splits_triggered,
-            self.shards_migrated,
             self.distinct_keys,
             self.hot_key_share,
         )
@@ -345,15 +341,16 @@ struct BaselineRow {
 
 /// Parses the 6-column TSVs written before the scheduler columns
 /// existed, the 9-column form, the 12-column form, the 15-column
-/// form, and the current 17-column form (extra columns carry steal /
-/// park / occupancy, causal-profile, skew-mitigation, and data-plane
-/// sketch figures the ratio report does not need).
+/// form, the 17-column form that still carried `shards_migrated`, and
+/// the current 16-column form (extra columns carry steal / park /
+/// occupancy, causal-profile, skew-mitigation, and data-plane sketch
+/// figures the ratio report does not need).
 fn parse_baseline(path: &str) -> Result<BTreeMap<(String, String), BaselineRow>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut rows = BTreeMap::new();
     for line in text.lines() {
         let cols: Vec<&str> = line.split('\t').collect();
-        if ![6, 9, 12, 15, 17].contains(&cols.len()) {
+        if ![6, 9, 12, 15, 16, 17].contains(&cols.len()) {
             return Err(format!("{path}: malformed line {line:?}"));
         }
         let parse = |s: &str| s.parse::<f64>().map_err(|e| format!("{path}: {e}"));
@@ -440,7 +437,7 @@ fn parse_json_baseline(path: &str) -> Result<JsonBaseline, String> {
 /// benchmark's hamr/mapred throughput ratio, which survives both
 /// machine-speed and input-scale changes. Independently of the
 /// baseline, the skewed HistogramRatings row must not invert: HAMR
-/// with its default mitigations ships fewer, pre-folded records, and
+/// with its default in-node combiner ships fewer, pre-folded records, and
 /// falling behind mapred there means skew handling broke.
 fn compare_gate(base: &JsonBaseline, rows: &[Row], quick: bool, scale: f64, pct: f64) -> bool {
     let mut failed = skew_inversion_gate(rows);
@@ -545,7 +542,7 @@ fn skew_inversion_gate(rows: &[Row]) -> bool {
     if ratio < 1.0 {
         eprintln!(
             "benchjson: REGRESSION: HistogramRatings-skew inverted: hamr/mapred \
-             throughput ratio {ratio:.3} < 1.0 — skew mitigations are not holding"
+             throughput ratio {ratio:.3} < 1.0 — the in-node combiner is not holding"
         );
         true
     } else {
@@ -606,47 +603,17 @@ fn chain_cache_gate(rows: &[Row]) -> bool {
     failed
 }
 
-/// The mitigation combinations the `--skew-ablation` mode sweeps. The
-/// default thresholds are used as-is: the skewed HistogramRatings
-/// shape concentrates far more than `split_threshold` records on its
-/// hot movies, so splitting engages at both `--quick` and full scale.
+/// The configurations the `--skew-ablation` mode sweeps: the combiner
+/// off and on.
 fn skew_combos() -> Vec<(&'static str, SkewConfig)> {
     vec![
         ("off", SkewConfig::off()),
-        (
-            "combine",
-            SkewConfig {
-                combine: true,
-                split: false,
-                rebalance: false,
-                ..SkewConfig::default()
-            },
-        ),
-        (
-            "split",
-            SkewConfig {
-                combine: false,
-                split: true,
-                rebalance: false,
-                ..SkewConfig::default()
-            },
-        ),
-        (
-            "rebalance",
-            SkewConfig {
-                combine: false,
-                split: false,
-                rebalance: true,
-                rebalance_min_records: 64,
-                ..SkewConfig::default()
-            },
-        ),
-        ("all", SkewConfig::all()),
+        ("combine", SkewConfig::default()),
     ]
 }
 
 /// One `--skew-ablation` row: the skewed HistogramRatings workload
-/// under a single mitigation combination (or the mapred reference).
+/// with the combiner off or on (or the mapred reference).
 #[derive(Debug)]
 struct AblationRow {
     combo: &'static str,
@@ -655,8 +622,6 @@ struct AblationRow {
     records_per_sec: f64,
     checksum: u64,
     combined_records: u64,
-    splits_triggered: u64,
-    shards_migrated: u64,
 }
 
 impl AblationRow {
@@ -665,8 +630,7 @@ impl AblationRow {
             concat!(
                 "{{\"combo\":\"{}\",\"engine\":\"{}\",",
                 "\"wall_seconds\":{:.6},\"records_per_sec\":{:.1},",
-                "\"checksum\":\"{:016x}\",\"combined_records\":{},",
-                "\"splits_triggered\":{},\"shards_migrated\":{}}}"
+                "\"checksum\":\"{:016x}\",\"combined_records\":{}}}"
             ),
             self.combo,
             self.engine,
@@ -674,17 +638,15 @@ impl AblationRow {
             self.records_per_sec,
             self.checksum,
             self.combined_records,
-            self.splits_triggered,
-            self.shards_migrated,
         )
     }
 }
 
-/// The `--skew-ablation` sweep: skewed HistogramRatings once per
-/// mitigation combination plus a mapred reference, all on fresh
-/// environments. Every combination must reproduce the reference
-/// checksum bit-for-bit — an ablation that changes the answer is a
-/// fatal harness error, not a data point.
+/// The `--skew-ablation` sweep: skewed HistogramRatings with the
+/// combiner off and on plus a mapred reference, all on fresh
+/// environments. Both HAMR runs must reproduce the reference checksum
+/// bit-for-bit — an ablation that changes the answer is a fatal
+/// harness error, not a data point.
 fn skew_ablation(params: &SimParams) -> Result<Vec<AblationRow>, String> {
     let bench = HistogramRatings {
         movies: 16,
@@ -706,8 +668,6 @@ fn skew_ablation(params: &SimParams) -> Result<Vec<AblationRow>, String> {
         },
         checksum: out.checksum,
         combined_records: out.combined_records,
-        splits_triggered: out.splits_triggered,
-        shards_migrated: out.shards_migrated,
     };
     rows.push(row("reference", "mapred", &mr));
     for (combo, skew) in skew_combos() {
@@ -727,13 +687,10 @@ fn skew_ablation(params: &SimParams) -> Result<Vec<AblationRow>, String> {
             ));
         }
         eprintln!(
-            "benchjson: skew-ablation {combo:<9} {:>12.0} rec/s ({:.3}s) \
-             combined={} splits={} migrated={}",
+            "benchjson: skew-ablation {combo:<9} {:>12.0} rec/s ({:.3}s) combined={}",
             out.shuffle_records as f64 / out.elapsed.as_secs_f64().max(1e-9),
             out.elapsed.as_secs_f64(),
             out.combined_records,
-            out.splits_triggered,
-            out.shards_migrated,
         );
         rows.push(row(combo, "hamr", &out));
     }

@@ -4,9 +4,8 @@
 //! `HAMR_HTTP` / `Cluster::serve_introspection`) and renders a
 //! per-node table each tick: worker occupancy, aggregate flowlet
 //! queue depth, deferred bins, flow-control window occupancy, stall
-//! share, network transmit rate, and the skew-mitigation column
-//! (cumulative hot-partition splits / shard migrations per node) —
-//! the live counterpart of `tracedump`'s post-mortem occupancy table.
+//! share, data-plane key figures and network transmit rate — the live
+//! counterpart of `tracedump`'s post-mortem occupancy table.
 //! The header line carries the cluster-wide partition-resident frame
 //! cache as `cache(hit/res MB)`: cumulative resident hits and the
 //! megabytes currently pinned.
@@ -22,8 +21,7 @@
 //! `hamr explain` reads the data-plane stats snapshots the journal
 //! persists per job (`HAMR_STATS=full` runs sample record lineage)
 //! and reconstructs a sampled key's path through the dataflow:
-//! emitting flowlets and edges, scatter/absorb/re-emit decisions made
-//! by the skew layer, and the final reducer.
+//! emitting flowlets and edges, and the final reducer.
 //!
 //! `hamr top` also renders a cluster-wide task-latency quantile line
 //! (p50/p95/p99 in µs, aggregated from the published log2 latency
@@ -71,11 +69,6 @@ struct NodeStat {
     stall_us: f64,
     /// Cumulative bytes sent (counter).
     net_tx_bytes: f64,
-    /// Cumulative hot-partition splits flagged by this node's emitters.
-    splits: f64,
-    /// Cumulative reduce shards the rebalance planner moved onto this
-    /// node's scatter set.
-    migrated: f64,
     /// Estimated distinct keys routed to this node over shuffle edges
     /// (data-plane sketches, latest job; summed across edges).
     distinct: f64,
@@ -123,8 +116,6 @@ fn collect(samples: &[PromSample], engine: &str) -> (BTreeMap<u32, NodeStat>, To
             "hamr_window_inflight" => stat.window = s.value,
             "hamr_stall_us_total" => stat.stall_us += s.value,
             "hamr_net_sent_bytes_total" => stat.net_tx_bytes = s.value,
-            "hamr_node_splits_triggered_total" => stat.splits = s.value,
-            "hamr_node_shards_migrated_total" => stat.migrated = s.value,
             "hamr_stats_node_distinct_keys" => stat.distinct += s.value,
             "hamr_stats_node_hot_key_permille" => {
                 stat.hot_permille = stat.hot_permille.max(s.value)
@@ -273,8 +264,7 @@ fn render_tick(
         )),
     }
     out.push_str(
-        "node  workers  busy   occ%  queue  defer  window  stall%  skew(spl/mig)  \
-         keys(distinct/hot%)  net-tx\n",
+        "node  workers  busy   occ%  queue  defer  window  stall%  keys(distinct/hot%)  net-tx\n",
     );
     for (node, s) in nodes {
         let occ = if s.workers > 0.0 {
@@ -302,13 +292,12 @@ fn render_tick(
             "-".to_string()
         };
         out.push_str(&format!(
-            "{node:<4}  {:<7.0}  {:<4.0}  {occ:>5.1}  {:<5.0}  {:<5.0}  {:<6.0}  {stall_pct:>6.1}  {:>13}  {keys:>19}  {}\n",
+            "{node:<4}  {:<7.0}  {:<4.0}  {occ:>5.1}  {:<5.0}  {:<5.0}  {:<6.0}  {stall_pct:>6.1}  {keys:>19}  {}\n",
             s.workers,
             s.busy,
             s.queue,
             s.deferred,
             s.window,
-            format!("{:.0}/{:.0}", s.splits, s.migrated),
             fmt_rate(rate),
         ));
     }
@@ -444,8 +433,8 @@ fn load_stats_snapshots(dir: &Path, job: &str) -> Result<Vec<hamr_trace::StatsSn
 }
 
 /// `hamr explain <journal-dir> <job> <key>|--any|--list`: reconstruct
-/// a sampled record's path — flowlets, edges, scatter/absorb/re-emit
-/// decisions, final reducer — from the journal's stats snapshots.
+/// a sampled record's path — flowlets, edges, final reducer — from the
+/// journal's stats snapshots.
 /// Requires the run to have had `HAMR_STATS=full` (lineage sampling).
 /// Exit 0 on a rendered path, 1 when the key/journal yields nothing,
 /// 2 on bad arguments.

@@ -30,7 +30,6 @@ use hamr_trace::{
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -693,13 +692,8 @@ impl Cluster {
             )
         });
         let start = Instant::now();
-        // Per-job skew mitigation state, shared by every node runtime
-        // and (when rebalancing is on) the planner thread.
-        let skew = Arc::new(SkewRuntime::new(
-            &graph,
-            self.config.runtime.skew.clone(),
-            n,
-        ));
+        // Per-job in-node combiners, shared by every node runtime.
+        let skew = Arc::new(SkewRuntime::new(&graph, &self.config.runtime.skew));
         // Per-job data-plane statistics: one sketch set per (edge,
         // destination node), folded by every node as bins close and
         // merged into one snapshot at teardown. Lineage sampling is
@@ -771,26 +765,6 @@ impl Cluster {
                 .expect("spawn node runtime");
             handles.push(handle);
         }
-        // OS4M-style shard rebalancing: a planner thread watches the
-        // live emit tallies and migrates the heaviest reduce partition
-        // off an overloaded node (one-shot per edge). Producers pick
-        // the decision up at their next bin flush.
-        let planner = skew.planner_enabled().then(|| {
-            let skew = Arc::clone(&skew);
-            let stop = Arc::new(AtomicBool::new(false));
-            let flag = Arc::clone(&stop);
-            let interval = self.config.runtime.skew.planner_interval;
-            let handle = std::thread::Builder::new()
-                .name("hamr-skew-planner".into())
-                .spawn(move || {
-                    while !flag.load(Ordering::Relaxed) {
-                        skew.plan_step();
-                        std::thread::sleep(interval);
-                    }
-                })
-                .expect("spawn skew planner");
-            (stop, handle)
-        });
         // Start the sampler (no-op when telemetry is disabled). Node
         // runtimes may still be registering gauges on their own threads;
         // late registrations are back-filled with zeros in the series.
@@ -844,18 +818,6 @@ impl Cluster {
                         message: msg,
                     });
                 }
-            }
-        }
-        if let Some((stop, handle)) = planner {
-            stop.store(true, Ordering::Relaxed);
-            let _ = handle.join();
-        }
-        // Shard migrations are tallied in the shared runtime (the
-        // decision isn't owned by any single node); fold them into the
-        // per-node rollups now that every node has joined.
-        for (i, nm) in metrics.nodes.iter_mut().enumerate() {
-            if let Some(c) = skew.counters.get(i) {
-                nm.shards_migrated += c.shards_migrated.load(Ordering::Relaxed);
             }
         }
         // Every node has joined: stop the watchdog before tearing the

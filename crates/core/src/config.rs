@@ -77,99 +77,51 @@ pub enum FaultInjection {
     DropAcks { node: usize },
 }
 
-/// Skew-mitigation switches and thresholds (see `crate::skew`). The
-/// three mechanisms are independently toggleable so benchjson's
-/// `--skew-ablation` can attribute wins to each; all of them only ever
-/// engage on edges that registered a combiner via
-/// `JobBuilder::connect_combined`, so jobs without combiners are
-/// byte-for-byte unaffected by any setting.
+/// Skew-mitigation switch (see `crate::skew`). The in-node combiner is
+/// the one mechanism, and it only ever engages on edges that
+/// registered a combiner via `JobBuilder::connect_combined`, so jobs
+/// without combiners are byte-for-byte unaffected by either setting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SkewConfig {
     /// In-node combining: pre-aggregate duplicate keys inside
     /// `TaskOutput` before bins ship.
     pub combine: bool,
-    /// Dynamic hot-key splitting: scatter keys that cross
-    /// `split_threshold` within one task across all nodes, merge the
-    /// absorbed partials at edge completion.
+    /// Inert: the engine no longer reads this field. Hot-key splitting
+    /// was removed in favour of the combiner; the field remains only so
+    /// the benchmark's `split_off` ablation keeps compiling, and goes
+    /// when a later benchmark change drops that ablation.
     pub split: bool,
-    /// Operation-level shard rebalancing: a planner thread migrates the
-    /// most-loaded reduce partition off its home node mid-job.
-    pub rebalance: bool,
-    /// Per-task emit count at which a key is declared hot.
-    pub split_threshold: u32,
-    /// Rebalance when the heaviest home exceeds this multiple of the
-    /// mean per-home load.
-    pub rebalance_factor: f64,
-    /// Ignore edges until they have shuffled at least this many records
-    /// (prevents migrating on startup noise).
-    pub rebalance_min_records: u64,
-    /// Planner poll interval.
-    pub planner_interval: Duration,
-    /// Test hook: `(edge, home)` partitions to migrate before any task
-    /// runs, making rebalance paths deterministic.
-    pub forced_migrations: Vec<(usize, usize)>,
 }
 
 impl SkewConfig {
-    /// Every mechanism off — the pre-mitigation engine, byte for byte.
+    /// Combining off — the pre-mitigation engine, byte for byte.
     pub fn off() -> Self {
         SkewConfig {
             combine: false,
             split: false,
-            rebalance: false,
-            ..SkewConfig::default()
         }
     }
 
-    /// Every mechanism on (the benchjson "all" ablation row).
-    pub fn all() -> Self {
-        SkewConfig {
-            combine: true,
-            split: true,
-            rebalance: true,
-            ..SkewConfig::default()
-        }
-    }
-
-    /// Parse the `HAMR_SKEW` environment override: `off`/`none`, `all`,
-    /// or a comma list of `combine`, `split`, `rebalance`. Unset or
-    /// unparsable falls back to the default (combine + split on).
+    /// Parse the `HAMR_SKEW` environment override: `off`/`none` or
+    /// `combine`. Unset or unparsable falls back to the default
+    /// (combine on).
     pub fn from_env_str(s: &str) -> Option<Self> {
-        let mut cfg = SkewConfig::off();
         match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" => return Some(cfg),
-            "all" => return Some(SkewConfig::all()),
-            "" => return None,
-            list => {
-                for part in list.split(',') {
-                    match part.trim() {
-                        "combine" => cfg.combine = true,
-                        "split" => cfg.split = true,
-                        "rebalance" => cfg.rebalance = true,
-                        _ => return None,
-                    }
-                }
-            }
+            "off" | "none" => Some(SkewConfig::off()),
+            "combine" => Some(SkewConfig::default()),
+            _ => None,
         }
-        Some(cfg)
     }
 }
 
 impl Default for SkewConfig {
     fn default() -> Self {
+        // Combining is deterministic in effect (checksums are
+        // unchanged; see crate::skew) and strictly helps on skewed
+        // inputs, so it defaults on.
         SkewConfig {
-            // Combining and splitting are deterministic in effect
-            // (checksums are unchanged; see crate::skew) and strictly
-            // help on skewed inputs, so they default on. Rebalancing
-            // reacts to live load and stays opt-in.
             combine: true,
-            split: true,
-            rebalance: false,
-            split_threshold: 256,
-            rebalance_factor: 2.0,
-            rebalance_min_records: 8192,
-            planner_interval: Duration::from_millis(1),
-            forced_migrations: Vec::new(),
+            split: false,
         }
     }
 }
@@ -233,8 +185,9 @@ impl Default for RuntimeConfig {
                 .and_then(|s| SchedMode::from_env_str(&s))
                 .unwrap_or(SchedMode::WorkStealing),
             fault: FaultInjection::None,
-            // Like HAMR_SCHED, HAMR_SKEW lets the CI matrix ablate
-            // without touching code; explicit assignments override.
+            // Like HAMR_SCHED, HAMR_SKEW=off|combine lets CI ablate the
+            // combiner without touching code; explicit assignments
+            // override.
             skew: std::env::var("HAMR_SKEW")
                 .ok()
                 .and_then(|s| SkewConfig::from_env_str(&s))
@@ -462,17 +415,17 @@ mod tests {
     fn skew_env_strings_parse() {
         assert_eq!(SkewConfig::from_env_str("off"), Some(SkewConfig::off()));
         assert_eq!(SkewConfig::from_env_str("none"), Some(SkewConfig::off()));
-        assert_eq!(SkewConfig::from_env_str("all"), Some(SkewConfig::all()));
-        let c = SkewConfig::from_env_str("combine,rebalance").unwrap();
-        assert!(c.combine && !c.split && c.rebalance);
-        let c = SkewConfig::from_env_str(" split ").unwrap();
-        assert!(!c.combine && c.split && !c.rebalance);
+        let c = SkewConfig::from_env_str(" Combine ").unwrap();
+        assert_eq!(c, SkewConfig::default());
+        assert!(c.combine);
+        // The removed mechanisms' forms no longer parse, so they fall
+        // back to the default like any other unknown value.
+        for gone in ["split", "rebalance", "all", "combine,split"] {
+            assert_eq!(SkewConfig::from_env_str(gone), None, "{gone}");
+        }
         assert_eq!(SkewConfig::from_env_str("bogus"), None);
         assert_eq!(SkewConfig::from_env_str(""), None);
-        // Defaults: deterministic mechanisms on, reactive one off.
-        let d = SkewConfig::default();
-        assert!(d.combine && d.split && !d.rebalance);
-        assert!(d.split_threshold > 0);
+        assert!(!SkewConfig::off().combine);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use flowlet::{
 pub use graph::{Exchange, FlowletId, FlowletKind, JobBuilder, JobGraph};
 pub use introspect::{Health, HttpMode};
 pub use metrics::{FlowletMetrics, JobMetrics, NodeMetrics};
-pub use record::{BinKind, FrameBin, Record};
+pub use record::{FrameBin, Record};
 pub use resident::{CacheMode, CacheSpec, ResidentStats, ResidentStore};
 pub use skew::Combiner;
 pub use watchdog::{WatchdogAction, WatchdogConfig, WatchdogEvent};

@@ -23,10 +23,9 @@ pub struct FlowletMetrics {
     pub stall_time: Duration,
     /// Bytes spilled to local disk (reduce overflow).
     pub spilled_bytes: u64,
-    /// Records folded away by skew combiners (in-node pre-aggregation
-    /// plus scatter absorption) before reaching reduce state. These are
-    /// also restored into `records_out` on the producer side so output
-    /// counts stay comparable with the combiner-free path.
+    /// Records folded away by in-node combiners before shipping. These
+    /// are also restored into `records_out` on the producer side so
+    /// output counts stay comparable with the combiner-free path.
     pub combined_records: u64,
     /// Total time workers spent inside this flowlet's tasks.
     pub busy: Duration,
@@ -45,6 +44,9 @@ pub struct NodeMetrics {
     pub bins_in: u64,
     /// Records received from the fabric.
     pub records_in: u64,
+    /// Bins received carrying a lineage span: every bin of a traced
+    /// run, none of an untraced one.
+    pub spanned_bins_in: u64,
     /// Work-stealing: steal operations that fetched at least one task
     /// (zero under the centralized/deterministic schedulers).
     pub steals: u64,
@@ -54,11 +56,6 @@ pub struct NodeMetrics {
     pub tasks_per_worker: Vec<u64>,
     /// Time each worker spent parked waiting for work.
     pub park_per_worker: Vec<Duration>,
-    /// Hot reduce partitions this node's emitters started scattering
-    /// (one per key crossing the sketch threshold per task).
-    pub splits_triggered: u64,
-    /// Reduce shards the skew planner migrated off this node.
-    pub shards_migrated: u64,
 }
 
 impl NodeMetrics {
@@ -136,14 +133,9 @@ impl JobMetrics {
         self.flowlets.values().map(|f| f.combined_records).sum()
     }
 
-    /// Sum of hot-key splits triggered over all nodes.
-    pub fn total_splits(&self) -> u64 {
-        self.nodes.iter().map(|n| n.splits_triggered).sum()
-    }
-
-    /// Sum of planner shard migrations over all nodes.
-    pub fn total_migrated(&self) -> u64 {
-        self.nodes.iter().map(|n| n.shards_migrated).sum()
+    /// Sum of span-carrying bins received over all nodes.
+    pub fn total_spanned_bins(&self) -> u64 {
+        self.nodes.iter().map(|n| n.spanned_bins_in).sum()
     }
 
     /// Sum of successful steal operations over all nodes.
@@ -269,12 +261,6 @@ impl JobMetrics {
             registry
                 .counter("node_busy_us_total", labels())
                 .add(nm.busy.as_micros() as u64);
-            registry
-                .counter("node_splits_triggered_total", labels())
-                .add(nm.splits_triggered);
-            registry
-                .counter("node_shards_migrated_total", labels())
-                .add(nm.shards_migrated);
         }
         if let Some(snap) = &self.stats {
             // Per-edge sketch results as gauges (latest run of this job

@@ -49,19 +49,18 @@ use crate::flowlet::{AccBox, TaskContext};
 use crate::graph::{EdgeId, FlowletId, FlowletKind, JobGraph};
 use crate::metrics::{FlowletMetrics, NodeMetrics};
 use crate::outbuf::{FillSink, FlowControl, PortSpec, TaskOutput};
-use crate::record::{BinKind, FrameBin, Record};
-use crate::reduce_state::{FireShard, PartialState, ReduceState, SkewAbsorber};
+use crate::record::{FrameBin, Record};
+use crate::reduce_state::{FireShard, PartialState, ReduceState};
 use crate::resident::CachePlan;
 use crate::sched::{Pool, Source};
 use crate::skew::SkewRuntime;
 use crate::NodeId;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hamr_codec::FrameBuilder;
 use hamr_simnet::{Endpoint, Envelope, Payload};
 use hamr_trace::{
-    Audit, AuditBin, AuditStage, EventKind, Gauge, HopKind, StatsPlane, TaskKind, Telemetry,
-    Tracer, NO_SPAN, WORKER_RUNTIME,
+    Audit, AuditBin, AuditStage, EventKind, Gauge, StatsPlane, TaskKind, Telemetry, Tracer,
+    NO_SPAN, WORKER_RUNTIME,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -81,11 +80,6 @@ pub(crate) enum NetMsg {
     /// The receiver finished processing one bin the addressee sent on
     /// `edge`.
     Ack { edge: EdgeId },
-    /// The sender has re-emitted every merged skew partial it absorbed
-    /// on `edge` — ordered behind those [`BinKind::Merged`] bins by the
-    /// fabric's per-link FIFO, so when a destination has heard this
-    /// from every node, all partials are in its queue.
-    SkewDone { edge: EdgeId },
     /// A node hit a fatal error; everyone stops.
     Abort { reason: Arc<String> },
 }
@@ -126,9 +120,6 @@ enum Work {
     Marker {
         epoch: u64,
     },
-    /// One node finished re-emitting its merged skew partials on a
-    /// scatter edge (queued behind them, like `Complete` behind bins).
-    SkewDone,
 }
 
 /// A task handed to a worker thread.
@@ -164,13 +155,6 @@ enum Task {
         flowlet: FlowletId,
         entries: Vec<(Bytes, AccBox)>,
     },
-    /// Fold one scattered hot-key / migrated-shard bin into the edge's
-    /// [`SkewAbsorber`] instead of the destination's reduce state.
-    SkewAbsorb {
-        flowlet: FlowletId,
-        ack: Option<(NodeId, EdgeId)>,
-        bin: FrameBin,
-    },
 }
 
 impl Task {
@@ -182,8 +166,7 @@ impl Task {
             | Task::PartialFold { flowlet, .. }
             | Task::ReduceIngest { flowlet, .. }
             | Task::FireReduce { flowlet, .. }
-            | Task::FirePartial { flowlet, .. }
-            | Task::SkewAbsorb { flowlet, .. } => *flowlet,
+            | Task::FirePartial { flowlet, .. } => *flowlet,
         }
     }
 
@@ -196,7 +179,6 @@ impl Task {
             Task::ReduceIngest { .. } => TaskKind::ReduceIngest,
             Task::FireReduce { .. } => TaskKind::FireReduce,
             Task::FirePartial { .. } => TaskKind::FirePartial,
-            Task::SkewAbsorb { .. } => TaskKind::SkewAbsorb,
         }
     }
 
@@ -206,8 +188,7 @@ impl Task {
         match self {
             Task::MapBin { bin, .. }
             | Task::PartialFold { bin, .. }
-            | Task::ReduceIngest { bin, .. }
-            | Task::SkewAbsorb { bin, .. } => bin.span,
+            | Task::ReduceIngest { bin, .. } => bin.span,
             _ => NO_SPAN,
         }
     }
@@ -225,15 +206,10 @@ struct TaskDone {
     is_fire: bool,
     records_in: u64,
     records_out: u64,
-    /// Records absorbed by the task's *producer-side* combine buffers.
-    /// Restores records_out to its pre-combine value for shuffle-volume
+    /// Records absorbed by the task's combine buffers. Restores
+    /// records_out to its pre-combine value for shuffle-volume
     /// comparability with the mapred baseline.
     combined: u64,
-    /// Records absorbed while folding scattered bins into an absorber
-    /// (consumer side — counts as combining, not as output).
-    absorbed: u64,
-    /// Hot keys this task's sketch flagged for splitting.
-    splits: u64,
     duration: Duration,
     panic: Option<String>,
 }
@@ -245,11 +221,8 @@ struct WorkerShared {
     bin_capacity: usize,
     partial: Vec<Option<Arc<PartialState>>>,
     reduce: Vec<Mutex<Option<Arc<ReduceState>>>>,
-    /// Per-job skew mitigation state (combiners, plan, sketch config).
+    /// Per-job in-node combiners.
     skew: Arc<SkewRuntime>,
-    /// Per-*edge* absorbers for scattered hot-key records; `Some` only
-    /// on scatter-eligible edges.
-    absorbers: Vec<Option<Arc<SkewAbsorber>>>,
     tracer: Tracer,
     audit: Audit,
     /// Telemetry gauge: workers currently executing a task on this node.
@@ -282,7 +255,7 @@ impl WorkerShared {
             self.tracer.clone(),
             self.audit.clone(),
         )
-        .with_skew(&self.skew)
+        .with_combiners(&self.skew)
         .with_stats(&self.stats);
         if let Some(sink) = &self.fill {
             out = out.with_fill(sink);
@@ -290,17 +263,15 @@ impl WorkerShared {
         out
     }
 
-    /// Record a terminal lineage hop for a consumed bin (reduce ingest
-    /// or skew absorb). Only samples already in flight are touched, so
-    /// this is free for unsampled traffic and entirely off outside
-    /// `HAMR_STATS=full`.
-    fn stats_consume(&self, bin: &FrameBin, flowlet: FlowletId, kind: HopKind) {
+    /// Record the terminal reduce hop for a consumed bin. Only samples
+    /// already in flight are touched, so this is free for unsampled
+    /// traffic and entirely off outside `HAMR_STATS=full`.
+    fn stats_consume(&self, bin: &FrameBin, flowlet: FlowletId) {
         if let Some(plane) = &self.stats {
             if plane.lineage_on() {
                 plane.consume_bin(
                     bin.edge as u32,
                     self.ctx.node as u32,
-                    kind,
                     flowlet as u32,
                     &self.graph.flowlets[flowlet].name,
                     self.ctx.node as u32,
@@ -351,8 +322,6 @@ fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) -> TaskDone
         records_in: 0,
         records_out: 0,
         combined: 0,
-        absorbed: 0,
-        splits: 0,
         duration: Duration::ZERO,
         panic: None,
     };
@@ -362,7 +331,6 @@ fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) -> TaskDone
         let mut records_in = 0u64;
         let mut ack_to = None;
         let mut stream = None;
-        let mut absorbed = 0u64;
         match task {
             Task::LoaderSplit { index, .. } => {
                 let FlowletKind::Loader(l) = kind else {
@@ -406,7 +374,7 @@ fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) -> TaskDone
                     shared.graph.edges[bin.edge].exchange,
                     crate::graph::Exchange::Hash
                 ) {
-                    shared.stats_consume(&bin, flowlet, HopKind::Reduce);
+                    shared.stats_consume(&bin, flowlet);
                 }
                 let state = shared.partial[flowlet]
                     .as_ref()
@@ -417,7 +385,7 @@ fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) -> TaskDone
             Task::ReduceIngest { ack, bin, .. } => {
                 records_in = bin.len() as u64;
                 shared.audit_consume(&bin);
-                shared.stats_consume(&bin, flowlet, HopKind::Reduce);
+                shared.stats_consume(&bin, flowlet);
                 let state = shared.reduce[flowlet]
                     .lock()
                     .clone()
@@ -447,35 +415,19 @@ fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) -> TaskDone
                     r.finish(&shared.ctx, &key, acc, &mut em);
                 }
             }
-            Task::SkewAbsorb { ack, bin, .. } => {
-                records_in = bin.len() as u64;
-                shared.audit_consume(&bin);
-                shared.stats_consume(&bin, flowlet, HopKind::Absorb);
-                let abs = shared.absorbers[bin.edge]
-                    .as_ref()
-                    .expect("absorber exists for scatter edge");
-                let combiner = shared
-                    .skew
-                    .combiner(bin.edge)
-                    .expect("scatter edge has a combiner");
-                absorbed = abs.fold(worker_id, &bin, combiner.as_ref());
-                ack_to = ack;
-            }
         }
-        let (bins, captured, stats) = out.into_parts_stats();
-        (bins, captured, records_in, ack_to, stream, stats, absorbed)
+        let (bins, captured, combined) = out.into_parts_stats();
+        (bins, captured, records_in, ack_to, stream, combined)
     }));
     match result {
-        Ok((bins, captured, records_in, ack_to, stream, stats, absorbed)) => {
+        Ok((bins, captured, records_in, ack_to, stream, combined)) => {
             done.records_out = bins.iter().map(|(_, b)| b.len() as u64).sum();
             done.bins = bins;
             done.captured = captured;
             done.records_in = records_in;
             done.ack_to = ack_to;
             done.stream = stream;
-            done.combined = stats.combined;
-            done.absorbed = absorbed;
-            done.splits = stats.splits;
+            done.combined = combined;
         }
         Err(payload) => {
             let msg = payload
@@ -587,11 +539,6 @@ fn ws_worker_loop(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Active,
-    /// Normal input is complete; this instance has re-emitted its
-    /// absorbed skew partials and is waiting for every node's
-    /// `SkewDone` (and the merged bins ordered ahead of them) before
-    /// it may fire.
-    Redistributing,
     FiringReduce,
     FiringPartial,
     FlushingEpoch(u64),
@@ -620,11 +567,6 @@ struct Instance {
     marker_owed: Option<u64>,
     stream_finished: bool,
     fire_left: usize,
-    // skew redistribution barrier
-    /// `SkewDone` messages to expect before firing: scatter-eligible
-    /// in-edges × nodes (zero when no in-edge can scatter).
-    skew_expected: usize,
-    skew_done_seen: usize,
 }
 
 impl Instance {
@@ -778,12 +720,6 @@ impl NodeRuntime {
         telemetry
             .register(node as u32, format!("node{node}/workers"))
             .set(threads as i64);
-        let absorbers = (0..graph.edges.len())
-            .map(|e| {
-                skew.scatter_on(e)
-                    .then(|| Arc::new(SkewAbsorber::new(threads)))
-            })
-            .collect();
         let fill =
             (!plan.fill.is_empty()).then(|| Arc::new(FillSink::new(plan.fill_edges.clone())));
         let shared = Arc::new(WorkerShared {
@@ -795,8 +731,7 @@ impl NodeRuntime {
             tracer: tracer.clone(),
             audit: audit.clone(),
             busy_gauge: telemetry.register(node as u32, format!("node{node}/workers_busy")),
-            skew: Arc::clone(&skew),
-            absorbers,
+            skew,
             fill,
             stats,
         });
@@ -883,7 +818,6 @@ impl NodeRuntime {
                         _ => 0,
                     }
                 };
-                let skew_expected = skew.scatter_in_edges(&graph, f).len() * nodes;
                 Instance {
                     pending: VecDeque::new(),
                     held: Vec::new(),
@@ -901,8 +835,6 @@ impl NodeRuntime {
                     marker_owed: None,
                     stream_finished: false,
                     fire_left: 0,
-                    skew_expected,
-                    skew_done_seen: 0,
                 }
             })
             .collect();
@@ -966,11 +898,10 @@ impl NodeRuntime {
                             bin.payload_bytes() as u64,
                         );
                     }
-                    if self.tracer.enabled() {
-                        bin.span = hamr_trace::next_span_id();
-                    }
+                    bin.span = self.tracer.next_span();
                     self.nmetrics.bins_in += 1;
                     self.nmetrics.records_in += bin.len() as u64;
+                    self.nmetrics.spanned_bins_in += u64::from(bin.span != NO_SPAN);
                     self.tracer.emit(
                         self.node as u32,
                         WORKER_RUNTIME,
@@ -1169,6 +1100,7 @@ impl NodeRuntime {
                 let dst = self.graph.edges[bin.edge].dst;
                 self.nmetrics.bins_in += 1;
                 self.nmetrics.records_in += bin.len() as u64;
+                self.nmetrics.spanned_bins_in += u64::from(bin.span != NO_SPAN);
                 self.tracer.emit(
                     self.node as u32,
                     WORKER_RUNTIME,
@@ -1181,20 +1113,11 @@ impl NodeRuntime {
                 );
                 self.queue_gauges[dst].add(1);
                 self.pending_bytes_gauge.add(bin.payload_bytes() as i64);
-                // Merged skew bins bypass flow-control windows (they are
-                // bounded by distinct hot keys, not credits), so they must
-                // never be acked — marking them pre-acked keeps the
-                // per-edge in-flight accounting balanced.
-                let acked = bin.kind == BinKind::Merged;
                 self.instances[dst].pending.push_back(Work::Bin {
                     from: env.from,
-                    acked,
+                    acked: false,
                     bin,
                 });
-            }
-            NetMsg::SkewDone { edge } => {
-                let dst = self.graph.edges[edge].dst;
-                self.instances[dst].pending.push_back(Work::SkewDone);
             }
             NetMsg::EdgeComplete { edge } => {
                 let dst = self.graph.edges[edge].dst;
@@ -1267,12 +1190,9 @@ impl NodeRuntime {
         fm.records_in += done.records_in;
         // Combined records were real map output that the combiner folded
         // away before shipping; restore them so records_out stays
-        // comparable with mapred's pre-combiner shuffle counts. Absorber
-        // folds are NOT restored — those records were already counted by
-        // their producer.
+        // comparable with mapred's pre-combiner shuffle counts.
         fm.records_out += done.records_out + done.combined;
-        fm.combined_records += done.combined + done.absorbed;
-        self.nmetrics.splits_triggered += done.splits;
+        fm.combined_records += done.combined;
         fm.busy += done.duration;
         fm.task_latency.record(done.duration);
         if !done.captured.is_empty() {
@@ -1410,10 +1330,7 @@ impl NodeRuntime {
     }
 
     fn pump_inner(&mut self, f: FlowletId) {
-        if !matches!(
-            self.instances[f].phase,
-            Phase::Active | Phase::Redistributing
-        ) {
+        if self.instances[f].phase != Phase::Active {
             return;
         }
         enum Action {
@@ -1422,7 +1339,6 @@ impl NodeRuntime {
             HoldBin,
             RunBin,
             CountMarker,
-            CountSkewDone,
         }
         loop {
             let action = {
@@ -1431,7 +1347,6 @@ impl NodeRuntime {
                 match inst.pending.front() {
                     None => Action::Stop,
                     Some(Work::Complete) => Action::PopComplete,
-                    Some(Work::SkewDone) => Action::CountSkewDone,
                     Some(Work::Bin { .. }) => {
                         if barrier_hold {
                             Action::HoldBin
@@ -1502,17 +1417,6 @@ impl NodeRuntime {
                             ack,
                             bin,
                         },
-                        // Scattered hot-key bins fold into the per-edge
-                        // absorber instead of reduce state: their keys
-                        // don't hash-route here, so ingesting them
-                        // directly would break key→node placement.
-                        Tag::Partial | Tag::Reduce if bin.kind == BinKind::Scatter => {
-                            Task::SkewAbsorb {
-                                flowlet: f,
-                                ack,
-                                bin,
-                            }
-                        }
                         Tag::Partial => Task::PartialFold {
                             flowlet: f,
                             ack,
@@ -1526,10 +1430,6 @@ impl NodeRuntime {
                         Tag::Source => unreachable!("sources have no inputs"),
                     };
                     self.dispatch(task);
-                }
-                Action::CountSkewDone => {
-                    self.instances[f].pending.pop_front();
-                    self.instances[f].skew_done_seen += 1;
                 }
                 Action::CountMarker => {
                     let Some(Work::Marker { epoch }) = self.instances[f].pending.pop_front() else {
@@ -1654,29 +1554,9 @@ impl NodeRuntime {
                     return;
                 }
                 match self.flowlet_tag(f) {
-                    Tag::Reduce | Tag::Partial if self.instances[f].skew_expected > 0 => {
-                        // Scatter-eligible inputs: re-emit our absorbed
-                        // hot-key partials and wait for every node's
-                        // merged bins + SkewDone before firing.
-                        self.begin_redistribute(f);
-                    }
                     Tag::Reduce => self.fire_reduce(f),
                     Tag::Partial => self.fire_partial(f),
                     _ => self.begin_complete(f),
-                }
-            }
-            Phase::Redistributing => {
-                let ready = {
-                    let inst = &self.instances[f];
-                    inst.skew_done_seen == inst.skew_expected && inst.pending.is_empty() && idle
-                };
-                if !ready {
-                    return;
-                }
-                match self.flowlet_tag(f) {
-                    Tag::Reduce => self.fire_reduce(f),
-                    Tag::Partial => self.fire_partial(f),
-                    _ => unreachable!("only reduce flowlets redistribute"),
                 }
             }
             Phase::FiringReduce | Phase::FiringPartial => {
@@ -1746,87 +1626,6 @@ impl NodeRuntime {
         if n == 0 {
             self.begin_complete(f);
         }
-    }
-
-    /// Enter the redistribution barrier: drain this node's absorbers on
-    /// every scatter-eligible in-edge, re-emit the merged hot-key
-    /// partials to each key's home node as `Merged` bins, then tell
-    /// every node we're done. Per-link FIFO guarantees each receiver
-    /// sees our merged bins before our `SkewDone`.
-    fn begin_redistribute(&mut self, f: FlowletId) {
-        self.instances[f].phase = Phase::Redistributing;
-        let graph = Arc::clone(&self.graph);
-        let shared = Arc::clone(&self.shared);
-        for &edge in &shared.skew.scatter_in_edges(&graph, f) {
-            let abs = shared.absorbers[edge]
-                .as_ref()
-                .expect("absorber on scatter edge");
-            let combiner = shared
-                .skew
-                .combiner(edge)
-                .expect("combiner on scatter edge");
-            let (entries, folds) = abs.drain(combiner.as_ref());
-            self.fmetrics[f].combined_records += folds;
-            // Group by home node, chunked at bin_capacity like any
-            // other frame. Builders only exist once a record lands in
-            // them, so leftovers are never empty.
-            let mut builders: Vec<Option<FrameBuilder>> = (0..self.nodes).map(|_| None).collect();
-            for (hash, key, value) in entries {
-                let home = (hash % self.nodes as u64) as usize;
-                let b = builders[home].get_or_insert_with(FrameBuilder::new);
-                b.push(hash, &key, &value);
-                if b.len() >= self.cfg.bin_capacity {
-                    let full = builders[home].take().expect("builder present");
-                    self.ship_merged(edge, home, full);
-                }
-            }
-            for (home, b) in builders.into_iter().enumerate() {
-                if let Some(b) = b {
-                    self.ship_merged(edge, home, b);
-                }
-            }
-            for dst in 0..self.nodes {
-                let _ = self.endpoint.send(dst, NetMsg::SkewDone { edge });
-            }
-        }
-    }
-
-    /// Ship one merged skew bin straight through the endpoint. These
-    /// bypass flow-control windows (bounded by distinct hot keys, not
-    /// credits) and are marked pre-acked at ingress. The original
-    /// records balanced custody on their scatter targets; this is a
-    /// fresh Emit+Ship leg on (edge, home) — the fabric adds Deliver
-    /// and the home node's ingest adds Consume.
-    fn ship_merged(&mut self, edge: EdgeId, home: NodeId, builder: FrameBuilder) {
-        let frame = builder.freeze();
-        // Merged bins bypass TaskOutput, so the stats plane folds them
-        // here — the re-emit leg is a distinct lineage hop.
-        if let Some(plane) = &self.shared.stats {
-            let src_flowlet = self.graph.edges[edge].src;
-            plane.fold_bin(
-                edge as u32,
-                home as u32,
-                HopKind::Merged,
-                src_flowlet as u32,
-                &self.graph.flowlets[src_flowlet].name,
-                self.node as u32,
-                frame.iter().map(|(h, k, v)| (h, k, v.len())),
-            );
-        }
-        let mut bin = FrameBin::new(edge, frame).with_kind(BinKind::Merged);
-        for stage in [AuditStage::Emit, AuditStage::Ship] {
-            self.shared.audit.record(
-                stage,
-                edge as u32,
-                home as u32,
-                bin.len() as u64,
-                bin.payload_bytes() as u64,
-            );
-        }
-        if self.tracer.enabled() {
-            bin.span = hamr_trace::next_span_id();
-        }
-        let _ = self.endpoint.send(home, NetMsg::Bin(bin));
     }
 
     /// Broadcast completion on every out-edge and retire the flowlet.

@@ -18,13 +18,13 @@
 use crate::graph::{EdgeId, Exchange, FlowletId};
 use crate::metrics::FlowletMetrics;
 use crate::node::NetMsg;
-use crate::record::{BinKind, FrameBin, Record};
-use crate::skew::{Combiner, KeySketch, SkewRuntime};
+use crate::record::{FrameBin, Record};
+use crate::skew::{Combiner, SkewRuntime};
 use crate::NodeId;
 use bytes::Bytes;
 use hamr_codec::{stable_hash, FrameBuilder};
 use hamr_simnet::Endpoint;
-use hamr_trace::{Audit, AuditStage, EventKind, Gauge, HopKind, StatsPlane, Telemetry, Tracer};
+use hamr_trace::{Audit, AuditStage, EventKind, Gauge, StatsPlane, Telemetry, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -383,39 +383,6 @@ impl CombineBuf {
     }
 }
 
-/// Per-task skew-mitigation state, attached only when some output
-/// edge has a mechanism enabled (see [`SkewRuntime::active_for`]).
-struct SkewState {
-    rt: Arc<SkewRuntime>,
-    /// Per-port combine buffer (combine enabled on the port's edge).
-    combine: Vec<Option<CombineBuf>>,
-    /// Per-port hot-key sketch (splitting enabled on the port's edge).
-    /// Observes *pre-combine* emissions — post-combine each key would
-    /// appear once per task and never cross the threshold.
-    sketch: Vec<Option<KeySketch>>,
-    /// Open scatter frames per (port, destination), kept apart from the
-    /// normal slots because their bins ship as [`BinKind::Scatter`].
-    scatter_open: Vec<Option<FrameBuilder>>,
-    /// Round-robin cursor for scatter destinations, seeded with the
-    /// node id so different producers interleave their targets.
-    rr: usize,
-    /// Pre-combine records per (port, home) — flushed to the planner's
-    /// per-(edge, home) load signal at task finish.
-    tallies: Vec<u64>,
-    combined: u64,
-    splits: u64,
-}
-
-/// Mitigation counters handed back alongside a finished task's bins.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct SkewStats {
-    /// Records absorbed by in-node combining (each fold merges two
-    /// partials into one, absorbing one record).
-    pub combined: u64,
-    /// Hot keys this task's sketch flagged for splitting.
-    pub splits: u64,
-}
-
 /// Buffers one task's emissions.
 pub(crate) struct TaskOutput {
     ports: Vec<PortSpec>,
@@ -440,9 +407,13 @@ pub(crate) struct TaskOutput {
     lane: u32,
     tracer: Tracer,
     audit: Audit,
-    /// Skew-mitigation state; `None` for unaffected flowlets, so the
-    /// common emit path pays one branch.
-    skew: Option<SkewState>,
+    /// Per-port in-node combine buffer; empty for flowlets with no
+    /// combining output edge, so the common emit path pays one bounds
+    /// check.
+    combine: Vec<Option<CombineBuf>>,
+    /// Records absorbed by in-node combining (each fold merges two
+    /// partials into one, absorbing one record).
+    combined: u64,
     /// Resident-cache fill sink; `None` unless some output edge is
     /// annotated `cache_as`/`resident` and missed the store this run.
     fill: Option<Arc<FillSink>>,
@@ -482,7 +453,8 @@ impl TaskOutput {
             lane,
             tracer,
             audit,
-            skew: None,
+            combine: Vec::new(),
+            combined: 0,
             fill: None,
             stats: None,
         }
@@ -510,36 +482,16 @@ impl TaskOutput {
         self
     }
 
-    /// Attach skew-mitigation state (builder style). A no-op when no
-    /// mechanism touches any of this task's output edges.
-    pub(crate) fn with_skew(mut self, rt: &Arc<SkewRuntime>) -> Self {
-        if !rt.active_for(self.ports.iter().map(|p| p.edge)) {
-            return self;
+    /// Attach the job's combiners (builder style). A no-op when no
+    /// output edge of this task combines.
+    pub(crate) fn with_combiners(mut self, rt: &SkewRuntime) -> Self {
+        if rt.active_for(self.ports.iter().map(|p| p.edge)) {
+            self.combine = self
+                .ports
+                .iter()
+                .map(|p| rt.combiner(p.edge).map(|c| CombineBuf::new(c.clone())))
+                .collect();
         }
-        let mut combine = Vec::with_capacity(self.ports.len());
-        let mut sketch = Vec::with_capacity(self.ports.len());
-        for p in &self.ports {
-            combine.push(if rt.combine_on(p.edge) {
-                rt.combiner(p.edge).map(|c| CombineBuf::new(c.clone()))
-            } else {
-                None
-            });
-            sketch.push(if rt.scatter_on(p.edge) && rt.cfg.split {
-                Some(KeySketch::new(rt.cfg.split_threshold))
-            } else {
-                None
-            });
-        }
-        self.skew = Some(SkewState {
-            rt: rt.clone(),
-            combine,
-            sketch,
-            scatter_open: (0..self.ports.len() * self.nodes).map(|_| None).collect(),
-            rr: self.node,
-            tallies: vec![0; self.ports.len() * self.nodes],
-            combined: 0,
-            splits: 0,
-        });
         self
     }
 
@@ -547,43 +499,24 @@ impl TaskOutput {
     /// emitting `BinEmitted` when tracing is on. Disabled tracing costs
     /// one branch: the bin keeps span 0 and no id is allocated.
     fn close_bin(&mut self, dst: NodeId, edge: EdgeId, frame: hamr_codec::Frame) {
-        self.close_bin_kind(dst, edge, frame, BinKind::Normal);
-    }
-
-    fn close_bin_kind(
-        &mut self,
-        dst: NodeId,
-        edge: EdgeId,
-        frame: hamr_codec::Frame,
-        kind: BinKind,
-    ) {
         // Pin a clone for the resident store before the frame moves
-        // into the bin. Only Normal bins are cached: scatter/merged
-        // skew traffic is nondeterministic routing, not dataflow.
-        if kind == BinKind::Normal {
-            if let Some(sink) = &self.fill {
-                if sink.mask.get(edge).copied().unwrap_or(false) {
-                    sink.capture(edge, dst, &frame);
-                }
+        // into the bin.
+        if let Some(sink) = &self.fill {
+            if sink.mask.get(edge).copied().unwrap_or(false) {
+                sink.capture(edge, dst, &frame);
             }
         }
         if let Some(plane) = &self.stats {
-            let hop = match kind {
-                BinKind::Normal => HopKind::Emit,
-                BinKind::Scatter => HopKind::Scatter,
-                BinKind::Merged => HopKind::Merged,
-            };
             plane.fold_bin(
                 edge as u32,
                 dst as u32,
-                hop,
                 self.flowlet_id,
                 &self.flowlet_name,
                 self.node as u32,
                 frame.iter().map(|(h, k, v)| (h, k, v.len())),
             );
         }
-        let mut bin = FrameBin::new(edge, frame).with_kind(kind);
+        let mut bin = FrameBin::new(edge, frame);
         // Emit custody is tallied regardless of tracing: the audit
         // ledger must balance even when the trace stream is off.
         self.audit.record(
@@ -594,7 +527,7 @@ impl TaskOutput {
             bin.payload_bytes() as u64,
         );
         if self.tracer.enabled() {
-            bin.span = hamr_trace::next_span_id();
+            bin.span = self.tracer.next_span();
             self.tracer.emit(
                 self.node as u32,
                 self.lane,
@@ -649,7 +582,7 @@ impl TaskOutput {
         let hash = stable_hash(key);
         match spec.exchange {
             Exchange::Hash => {
-                if self.skew.is_some() && self.emit_skew(port, spec.edge, hash, key, value) {
+                if self.combine_into(port, hash, key, value) {
                     return;
                 }
                 let dst = (hash % self.nodes as u64) as usize;
@@ -693,115 +626,32 @@ impl TaskOutput {
         }
     }
 
-    /// Skew-aware emit on a Hash port. Returns true when the record
-    /// was consumed here (combined or routed); false hands it back to
-    /// the plain hash path.
-    fn emit_skew(
-        &mut self,
-        port: usize,
-        edge: EdgeId,
-        hash: u64,
-        key: &[u8],
-        value: &[u8],
-    ) -> bool {
-        let nodes = self.nodes;
-        let needs_flush = {
-            let st = self.skew.as_mut().expect("skew state present");
-            let combine = st.rt.combine_on(edge);
-            let scatter = st.rt.scatter_on(edge);
-            if !combine && !scatter {
-                return false;
-            }
-            // Planner signal and hot-key sketch both observe the
-            // *pre-combine* stream: the raw per-home record pressure is
-            // what makes a partition hot.
-            let home = (hash % nodes as u64) as usize;
-            st.tallies[port * nodes + home] += 1;
-            if let Some(sk) = st.sketch[port].as_mut() {
-                if sk.observe(hash) {
-                    st.splits += 1;
-                }
-            }
-            match st.combine[port].as_mut() {
-                Some(buf) => {
-                    if buf.fold(hash, key, value) {
-                        st.combined += 1;
-                    }
-                    buf.map.len() >= self.bin_capacity
-                }
-                None => {
-                    // Split/rebalance without combining: route now.
-                    let _ = st;
-                    self.route_one(port, hash, key, value);
-                    return true;
-                }
-            }
+    /// Fold one record into the port's combine buffer, if the port
+    /// combines. Returns false to hand the record to the plain hash
+    /// path.
+    #[inline]
+    fn combine_into(&mut self, port: usize, hash: u64, key: &[u8], value: &[u8]) -> bool {
+        let Some(buf) = self.combine.get_mut(port).and_then(Option::as_mut) else {
+            return false;
         };
-        if needs_flush {
+        if buf.fold(hash, key, value) {
+            self.combined += 1;
+        }
+        if buf.map.len() >= self.bin_capacity {
             self.flush_combine(port);
         }
         true
     }
 
-    /// Route one (possibly pre-combined) record on a Hash port: to its
-    /// hash home, unless the key is flagged hot or the home partition
-    /// is migrated — then scatter it round-robin across all nodes.
-    fn route_one(&mut self, port: usize, hash: u64, key: &[u8], value: &[u8]) {
-        let edge = self.ports[port].edge;
-        let home = (hash % self.nodes as u64) as usize;
-        let scatter = {
-            let st = self.skew.as_ref().expect("skew state present");
-            st.rt.scatter_on(edge)
-                && (st.rt.plan.is_migrated(edge, home)
-                    || st.sketch[port].as_ref().is_some_and(|s| s.is_hot(hash)))
-        };
-        if !scatter {
-            self.append(port, home, hash, key, value);
-            return;
-        }
-        let dst = {
-            let st = self.skew.as_mut().expect("skew state present");
-            let d = st.rr % self.nodes;
-            st.rr += 1;
-            d
-        };
-        self.append_scatter(port, dst, hash, key, value);
-    }
-
-    /// Like [`Self::append`], but into the port's scatter frames; full
-    /// frames close as [`BinKind::Scatter`] so the receiver absorbs
-    /// them instead of feeding its reduce directly.
-    fn append_scatter(&mut self, port: usize, dst: NodeId, hash: u64, key: &[u8], value: &[u8]) {
-        let hint = self.frame_capacity_hint();
-        let slot = port * self.nodes + dst;
-        let full = {
-            let st = self.skew.as_mut().expect("skew state present");
-            let builder =
-                st.scatter_open[slot].get_or_insert_with(|| FrameBuilder::with_capacity(hint));
-            builder.push(hash, key, value);
-            if builder.len() >= self.bin_capacity {
-                st.scatter_open[slot].take()
-            } else {
-                None
-            }
-        };
-        if let Some(b) = full {
-            self.close_bin_kind(dst, self.ports[port].edge, b.freeze(), BinKind::Scatter);
-        }
-    }
-
-    /// Drain the port's combine buffer through routing, tallying the
-    /// pre/post-combine custody pair in the audit side-table.
+    /// Drain the port's combine buffer through hash routing, tallying
+    /// the pre/post-combine custody pair in the audit side-table.
     fn flush_combine(&mut self, port: usize) {
-        let (entries, records_in) = {
-            let st = self.skew.as_mut().expect("skew state present");
-            match st.combine[port].as_mut() {
-                Some(buf) if !buf.map.is_empty() => {
-                    let records_in = std::mem::take(&mut buf.records_in);
-                    (buf.map.drain().collect::<Vec<_>>(), records_in)
-                }
-                _ => return,
+        let (entries, records_in) = match self.combine.get_mut(port).and_then(Option::as_mut) {
+            Some(buf) if !buf.map.is_empty() => {
+                let records_in = std::mem::take(&mut buf.records_in);
+                (buf.map.drain().collect::<Vec<_>>(), records_in)
             }
+            _ => return,
         };
         self.audit.combined(
             self.ports[port].edge as u32,
@@ -809,7 +659,8 @@ impl TaskOutput {
             entries.len() as u64,
         );
         for (key, (hash, value)) in entries {
-            self.route_one(port, hash, &key, &value);
+            let dst = (hash % self.nodes as u64) as usize;
+            self.append(port, dst, hash, &key, &value);
         }
     }
 
@@ -863,16 +714,12 @@ impl TaskOutput {
         (bins, captured)
     }
 
-    /// Finish the task: flush combine buffers, partial frames, and
-    /// scatter frames, flush the planner tallies, and hand everything
-    /// over with the task's mitigation counters.
-    pub(crate) fn into_parts_stats(mut self) -> (Vec<(NodeId, FrameBin)>, Vec<Record>, SkewStats) {
-        // Combine buffers feed the normal/scatter frames, so they
-        // flush first.
-        if self.skew.is_some() {
-            for port in 0..self.ports.len() {
-                self.flush_combine(port);
-            }
+    /// Finish the task: flush combine buffers and partial frames, and
+    /// hand everything over with the task's combined-record count.
+    pub(crate) fn into_parts_stats(mut self) -> (Vec<(NodeId, FrameBin)>, Vec<Record>, u64) {
+        // Combine buffers feed the open frames, so they flush first.
+        for port in 0..self.combine.len() {
+            self.flush_combine(port);
         }
         for slot in 0..self.open.len() {
             if let Some(builder) = self.open[slot].take() {
@@ -889,34 +736,7 @@ impl TaskOutput {
                 }
             }
         }
-        let mut stats = SkewStats::default();
-        if let Some(mut st) = self.skew.take() {
-            let scatter = std::mem::take(&mut st.scatter_open);
-            for (slot, builder) in scatter.into_iter().enumerate() {
-                if let Some(b) = builder {
-                    if b.is_empty() {
-                        continue;
-                    }
-                    let port = slot / self.nodes;
-                    let dst = slot % self.nodes;
-                    self.close_bin_kind(dst, self.ports[port].edge, b.freeze(), BinKind::Scatter);
-                }
-            }
-            for port in 0..self.ports.len() {
-                for home in 0..self.nodes {
-                    st.rt.tally_emitted(
-                        self.ports[port].edge,
-                        home,
-                        st.tallies[port * self.nodes + home],
-                    );
-                }
-            }
-            stats = SkewStats {
-                combined: st.combined,
-                splits: st.splits,
-            };
-        }
-        (self.finished, self.captured, stats)
+        (self.finished, self.captured, self.combined)
     }
 }
 

@@ -26,21 +26,6 @@ impl Record {
     }
 }
 
-/// How a bin participates in skew mitigation.
-///
-/// `Normal` bins follow the graph's hash routing. `Scatter` bins carry
-/// hot-key records diverted *away* from their overloaded home node; the
-/// receiver absorbs them into per-key partials instead of handing them
-/// to the reduce. `Merged` bins are the re-emitted partials travelling
-/// back to the key's home node; they were never reserved in the
-/// sender's flow-control window, so they must not be acked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinKind {
-    Normal,
-    Scatter,
-    Merged,
-}
-
 /// A batch of records flowing along one graph edge toward one node,
 /// packed into one contiguous frame.
 #[derive(Debug, Clone)]
@@ -52,8 +37,6 @@ pub struct FrameBin {
     /// Lineage span id for causal profiling; `0` (= `NO_SPAN`) when
     /// tracing is off, so the untraced hot path pays one `u64` copy.
     pub span: u64,
-    /// Skew-mitigation role (`Normal` for all ordinary traffic).
-    pub kind: BinKind,
 }
 
 impl FrameBin {
@@ -62,19 +45,12 @@ impl FrameBin {
             edge,
             frame,
             span: hamr_trace::NO_SPAN,
-            kind: BinKind::Normal,
         }
     }
 
     /// Attach a lineage span (builder style, used at emit time).
     pub fn with_span(mut self, span: u64) -> Self {
         self.span = span;
-        self
-    }
-
-    /// Mark the bin's skew-mitigation role (builder style).
-    pub fn with_kind(mut self, kind: BinKind) -> Self {
-        self.kind = kind;
         self
     }
 

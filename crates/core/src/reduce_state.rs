@@ -24,7 +24,6 @@
 use crate::config::ContentionMode;
 use crate::flowlet::{AccBox, PartialReduceFn};
 use crate::record::FrameBin;
-use crate::skew::Combiner;
 use crate::spill::{write_run, GroupedMerge, RunReader, SortedStream};
 use bytes::Bytes;
 use hamr_simdisk::{Disk, DiskError};
@@ -236,79 +235,6 @@ impl FireShard {
             // it always yields at least one group.
             FireShard::Merge(_) => false,
         }
-    }
-}
-
-/// Holds scattered hot-key / migrated-shard records for one edge of a
-/// reduce (or partial-reduce) instance, folded into one partial per
-/// key with the edge's [`Combiner`]. Workers fold into private maps
-/// (scatter traffic is hot by construction — a shared map would just
-/// recreate the contention the scatter avoided); the maps merge once,
-/// at drain, when the edge completes and the partials re-emit to each
-/// key's home node.
-pub(crate) struct SkewAbsorber {
-    maps: Vec<Mutex<AbsorbMap>>,
-}
-
-/// Per-worker fold state: key → (hash, current partial value).
-type AbsorbMap = HashMap<Bytes, (u64, Vec<u8>)>;
-
-impl SkewAbsorber {
-    pub(crate) fn new(workers: usize) -> Self {
-        SkewAbsorber {
-            maps: (0..workers.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-
-    /// Fold one scatter bin into the worker's private map. Returns the
-    /// number of records absorbed by combining (folds).
-    pub(crate) fn fold(&self, worker: usize, bin: &FrameBin, combiner: &dyn Combiner) -> u64 {
-        let mut map = self.maps[worker % self.maps.len()].lock();
-        let mut folds = 0;
-        let mut scratch = Vec::new();
-        for (hash, key, value) in bin.frame.iter() {
-            match map.get_mut(key) {
-                Some((_, old)) => {
-                    scratch.clear();
-                    combiner.combine(key, old, value, &mut scratch);
-                    std::mem::swap(old, &mut scratch);
-                    folds += 1;
-                }
-                None => {
-                    map.insert(Bytes::copy_from_slice(key), (hash, value.to_vec()));
-                }
-            }
-        }
-        folds
-    }
-
-    /// Drain and merge the per-worker maps: one `(hash, key, partial)`
-    /// per distinct key, plus the number of cross-worker folds.
-    pub(crate) fn drain(&self, combiner: &dyn Combiner) -> (Vec<(u64, Bytes, Vec<u8>)>, u64) {
-        let mut merged: HashMap<Bytes, (u64, Vec<u8>)> = HashMap::new();
-        let mut folds = 0;
-        let mut scratch = Vec::new();
-        for m in &self.maps {
-            for (k, (hash, v)) in m.lock().drain() {
-                match merged.get_mut(&k) {
-                    Some((_, old)) => {
-                        scratch.clear();
-                        combiner.combine(&k, old, &v, &mut scratch);
-                        std::mem::swap(old, &mut scratch);
-                        folds += 1;
-                    }
-                    None => {
-                        merged.insert(k, (hash, v));
-                    }
-                }
-            }
-        }
-        (
-            merged.into_iter().map(|(k, (h, v))| (h, k, v)).collect(),
-            folds,
-        )
     }
 }
 
@@ -610,25 +536,6 @@ mod tests {
             let sums = partial_sums(&st);
             assert_eq!(sums, vec![(b("hot"), 1600)], "mode {mode:?}");
         }
-    }
-
-    #[test]
-    fn skew_absorber_merges_partials_across_workers() {
-        let combiner = crate::typed::sum_combiner();
-        let abs = SkewAbsorber::new(3);
-        // Same hot key scattered to three workers, two records each.
-        for worker in 0..3 {
-            let b = bin(&[(b"hot", &u64b(5)), (b"hot", &u64b(2))]);
-            assert_eq!(abs.fold(worker, &b, combiner.as_ref()), 1);
-        }
-        let (entries, folds) = abs.drain(combiner.as_ref());
-        assert_eq!(folds, 2, "three per-worker partials merge with 2 folds");
-        assert_eq!(entries.len(), 1);
-        let (hash, key, value) = &entries[0];
-        assert_eq!(*hash, stable_hash(b"hot"));
-        assert_eq!(key, &b("hot"));
-        let v: u64 = hamr_codec::Codec::from_bytes(value).unwrap();
-        assert_eq!(v, 21);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! queue — no re-encode, no re-hash, no fabric ship.
 //!
 //! Ownership is partition-stable: an entry remembers the node count it
-//! was captured under and only serves an identical topology, and the
-//! skew runtime refuses to scatter or migrate cached edges (see
-//! `SkewRuntime::new`). Invalidation is keyed by an input
+//! was captured under and only serves an identical topology, and every
+//! record on a hash edge — combined partials included — routes to its
+//! key's home node, so a replayed frame lands where a recomputed one
+//! would. Invalidation is keyed by an input
 //! **fingerprint** — callers hash whatever identifies the input (DFS
 //! block layout, a parameter epoch) and a mismatch silently bypasses
 //! the cache and recomputes.

@@ -222,25 +222,133 @@ fn critical_path_is_bounded_by_wall_and_nonempty() {
     );
 }
 
+/// A WordCount-shaped job over a Zipf-ish vocabulary: every line
+/// repeats a few hot words, so each map task emits hundreds of copies
+/// of them through the combined hash edge.
+fn wordcount_job(name: &str, lines: u64) -> hamr_core::JobGraph {
+    let mut job = JobBuilder::new(name);
+    let lines: Vec<String> = (0..lines)
+        .map(|i| {
+            format!(
+                "the of the w{} and w{} the w{} of w{} the",
+                i % 7,
+                i % 61,
+                (i * i) % 257,
+                i % 1009
+            )
+        })
+        .collect();
+    let loader = job.add_loader("lines", typed::vec_loader(lines));
+    let map = job.add_map(
+        "split",
+        typed::map_fn(|_k: u64, line: String, out: &mut Emitter| {
+            for w in line.split_whitespace() {
+                out.emit_t(0, &w.to_string(), &1u64);
+            }
+        }),
+    );
+    let sum = job.add_partial_reduce("sum", typed::sum_reducer::<String>());
+    job.connect(loader, map, Exchange::Local);
+    job.connect_combined(map, sum, Exchange::Hash, typed::sum_combiner());
+    job.capture_output(sum);
+    job.build().unwrap()
+}
+
+/// The longest single task in an event log: TaskStart/TaskEnd pairs
+/// per (node, worker) lane, which never nest.
+fn longest_task_us(events: &[TraceEvent]) -> u64 {
+    let mut open = std::collections::HashMap::new();
+    let mut longest = 0;
+    for e in events {
+        match e.kind {
+            EventKind::TaskStart { .. } => {
+                open.insert((e.node, e.worker), e.t_us);
+            }
+            EventKind::TaskEnd { .. } => {
+                if let Some(start) = open.remove(&(e.node, e.worker)) {
+                    longest = longest.max(e.t_us - start);
+                }
+            }
+            _ => {}
+        }
+    }
+    longest
+}
+
+/// Lower bound on the critical path. On a default-config, single-job,
+/// unstalled run the path walks from the last reduce back through the
+/// producing map tasks to the loader, so it covers the longest task and
+/// most of the wall. A path that stops short — at a bin no task
+/// emitted — collapses to a sliver of the wall and fails here.
+#[test]
+fn critical_path_covers_the_longest_task_and_half_the_wall() {
+    let cluster = Cluster::new(ClusterConfig::local(4, 2));
+    let sink = Arc::new(RingSink::new(16, 1 << 17));
+    cluster
+        .run_traced(
+            wordcount_job("wc-critical", 8_000),
+            Tracer::new(sink.clone()),
+        )
+        .unwrap();
+    let dropped = sink.dropped();
+    assert_eq!(dropped, 0, "sized ring must not drop");
+    let events = sink.drain();
+    let report = analyze(&events, dropped);
+    let cp = &report.critical_path;
+    let longest = longest_task_us(&events);
+    assert!(longest > 0, "run recorded no tasks");
+    assert!(
+        cp.total_us >= longest,
+        "critical path {}us is shorter than the longest task {longest}us ({cp:?})",
+        cp.total_us
+    );
+    assert!(
+        cp.total_us * 2 >= report.wall_us,
+        "critical path {}us covers less than half the {}us wall ({cp:?})",
+        cp.total_us,
+        report.wall_us
+    );
+    assert!(cp.total_us <= report.wall_us + 1);
+}
+
+/// Span minting is scoped to the run's own tracer, and each job counts
+/// the span-carrying bins it delivered, so this test asserts on its own
+/// jobs only: sibling tests minting spans concurrently cannot move
+/// these numbers.
 #[test]
 fn untraced_run_mints_no_spans() {
-    use hamr_core::JobResult;
     let cluster = Cluster::new(config_with(SchedMode::WorkStealing));
-    let mut job = JobBuilder::new("untraced");
-    let loader = job.add_loader(
-        "nums",
-        typed::pairs_loader((0..100u64).map(|i| (i, i)).collect()),
-    );
-    let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
-    job.connect(loader, sum, Exchange::Hash);
-    job.capture_output(sum);
-    let before = hamr_trace::next_span_id();
-    let result: JobResult = cluster.run(job.build().unwrap()).unwrap();
-    assert!(!result.output(1).is_empty());
-    let after = hamr_trace::next_span_id();
+    let job = || {
+        let mut job = JobBuilder::new("untraced");
+        let loader = job.add_loader(
+            "nums",
+            typed::pairs_loader((0..100u64).map(|i| (i, i)).collect()),
+        );
+        let sum = job.add_partial_reduce("sum", typed::sum_reducer::<u64>());
+        job.connect(loader, sum, Exchange::Hash);
+        job.capture_output(sum);
+        job.build().unwrap()
+    };
+    let bins_in = |r: &hamr_core::JobResult| r.metrics.nodes.iter().map(|n| n.bins_in).sum::<u64>();
+
+    let untraced = cluster.run(job()).unwrap();
+    assert!(!untraced.output(1).is_empty());
+    assert!(bins_in(&untraced) > 0, "the job must move bins");
     assert_eq!(
-        after,
-        before + 1,
-        "untraced runs must not touch the span counter"
+        untraced.metrics.total_spanned_bins(),
+        0,
+        "untraced runs must not mint spans"
+    );
+
+    // The same job traced: every delivered bin carries a span, minted
+    // from this tracer's own counter and nowhere else.
+    let tracer = Tracer::new(Arc::new(RingSink::new(4, 1 << 12)));
+    let traced = cluster.run_traced(job(), tracer.clone()).unwrap();
+    let spanned = traced.metrics.total_spanned_bins();
+    assert_eq!(spanned, bins_in(&traced));
+    assert_eq!(
+        tracer.next_span(),
+        spanned + 1,
+        "the run's spans come from its tracer alone"
     );
 }

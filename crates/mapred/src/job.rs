@@ -612,7 +612,7 @@ impl MrCluster {
                                 // Shuffle chunks get lineage spans just
                                 // like HAMR bins: emitted and shipped in
                                 // one step (no flow-control window here).
-                                span = hamr_trace::next_span_id();
+                                span = tracer.next_span();
                                 tracer.emit(
                                     node as u32,
                                     slot as u32,

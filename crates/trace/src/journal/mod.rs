@@ -1158,7 +1158,7 @@ mod tests {
                     hash: 7,
                     key: b"the".to_vec(),
                     hops: vec![LineageHop {
-                        kind: HopKind::Scatter,
+                        kind: HopKind::Reduce,
                         flowlet: 2,
                         flowlet_name: "mapper".into(),
                         edge: 1,

@@ -61,19 +61,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Bin-lineage span identifiers. `0` means "no span" — the value bins
-/// carry when tracing is disabled, so the hot path never touches the
-/// global counter. Real spans start at 1 and are unique process-wide,
-/// which keeps IDs unique across nodes (every simulated node lives in
-/// this process) without any coordination at ship time.
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Mint a fresh non-zero span id for a bin.
-pub fn next_span_id() -> u64 {
-    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// The "no span" sentinel carried by bins when tracing is off.
+/// The "no span" sentinel carried by bins when tracing is off. Real
+/// bin-lineage spans are minted by [`Tracer::next_span`], start at 1,
+/// and are unique among one tracer and its clones.
 pub const NO_SPAN: u64 = 0;
 
 /// Synthetic worker lanes for events not produced by a worker thread.
@@ -101,9 +91,6 @@ pub enum TaskKind {
     FireReduce,
     /// One partial-reduce finish batch.
     FirePartial,
-    /// One scattered hot-key / migrated-shard bin folded into a skew
-    /// absorber's per-key partials.
-    SkewAbsorb,
     /// A MapReduce (baseline engine) map task.
     MrMap,
     /// A MapReduce (baseline engine) reduce task.
@@ -120,7 +107,6 @@ impl TaskKind {
             TaskKind::ReduceIngest => "reduce-ingest",
             TaskKind::FireReduce => "fire-reduce",
             TaskKind::FirePartial => "fire-partial",
-            TaskKind::SkewAbsorb => "skew-absorb",
             TaskKind::MrMap => "mr-map",
             TaskKind::MrReduce => "mr-reduce",
         }
@@ -413,11 +399,16 @@ impl TraceSink for RingSink {
 
 /// Cheap, cloneable handle the engine threads carry around. All clones
 /// share one epoch, so timestamps from different threads are on one
-/// axis.
+/// axis, and one span counter, so span ids are unique across every
+/// node of a run (all simulated nodes carry clones of one tracer)
+/// without any coordination at ship time.
 #[derive(Clone)]
 pub struct Tracer {
     sink: Option<Arc<dyn TraceSink>>,
     epoch: Instant,
+    /// Next bin-lineage span id; `None` when disabled, so untraced
+    /// runs have no counter to touch.
+    spans: Option<Arc<AtomicU64>>,
 }
 
 impl Tracer {
@@ -426,6 +417,7 @@ impl Tracer {
         Tracer {
             sink: Some(sink),
             epoch: Instant::now(),
+            spans: Some(Arc::new(AtomicU64::new(1))),
         }
     }
 
@@ -434,6 +426,17 @@ impl Tracer {
         Tracer {
             sink: None,
             epoch: Instant::now(),
+            spans: None,
+        }
+    }
+
+    /// Mint a fresh non-zero bin-lineage span id, or [`NO_SPAN`] when
+    /// tracing is disabled.
+    #[inline]
+    pub fn next_span(&self) -> u64 {
+        match &self.spans {
+            Some(next) => next.fetch_add(1, Ordering::Relaxed),
+            None => NO_SPAN,
         }
     }
 
@@ -558,6 +561,19 @@ mod tests {
         }
         assert_eq!(sink.drain().len(), 8000);
         assert_eq!(sink.dropped(), 0);
+    }
+
+    #[test]
+    fn clones_share_one_span_counter() {
+        let t = Tracer::new(Arc::new(NoopSink));
+        let c = t.clone();
+        let (a, b) = (t.next_span(), c.next_span());
+        assert_ne!(a, NO_SPAN);
+        assert_eq!(b, a + 1, "clones mint from one counter");
+        // A separate tracer has its own counter, and a disabled one
+        // mints nothing.
+        assert_eq!(Tracer::new(Arc::new(NoopSink)).next_span(), 1);
+        assert_eq!(Tracer::disabled().next_span(), NO_SPAN);
     }
 
     #[test]

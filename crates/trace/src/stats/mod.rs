@@ -8,9 +8,8 @@
 //!   fed the 64-bit key hash the frame already carries — zero re-hash;
 //! * [`SpaceSaving`] — the Metwally et al. top-K heavy-hitter sketch
 //!   with the guaranteed-count invariant `count − err ≤ true ≤ count`,
-//!   parameterized by capacity so the same code serves the stats plane
-//!   (K = 32, with key-byte samples for naming) and the skew splitter's
-//!   per-task hot-key sketch (capacity 1024, hashes only);
+//!   parameterized by capacity (the stats plane runs K = 32, with
+//!   key-byte samples for naming);
 //! * [`SizeHist`] — a log2 histogram of record value sizes answering
 //!   quantile queries to within a power of two.
 //!
@@ -24,7 +23,7 @@
 //! acquisition amortized over the whole bin). Under
 //! `HAMR_STATS=full[:N]` it also keeps a deterministic 1-in-N
 //! hash-gated record lineage sample: every hop a sampled key's bins
-//! take (emit, scatter, absorber re-emit, reduce ingest) appends a
+//! take (emit, reduce ingest) appends a
 //! [`LineageHop`], and the resulting [`LineageSample`]s travel with the
 //! [`StatsSnapshot`] into the journal where `hamr explain` can replay
 //! the path offline.
@@ -602,34 +601,24 @@ pub struct EdgeStatsSummary {
 pub enum HopKind {
     /// A normal emit onto an edge.
     Emit,
-    /// The skew splitter scattered the hot key round-robin.
-    Scatter,
-    /// An absorber re-emitted merged per-key partials.
-    Merged,
     /// A reduce task ingested the bin (the path's terminus).
     Reduce,
-    /// A skew absorber folded the scattered bin.
-    Absorb,
 }
 
 impl HopKind {
+    /// Journal code. Codes 1, 2 and 4 belonged to the removed hot-key
+    /// splitter's hops and are never reused.
     pub fn as_u8(self) -> u8 {
         match self {
             HopKind::Emit => 0,
-            HopKind::Scatter => 1,
-            HopKind::Merged => 2,
             HopKind::Reduce => 3,
-            HopKind::Absorb => 4,
         }
     }
 
     pub fn from_u8(v: u8) -> Option<HopKind> {
         Some(match v {
             0 => HopKind::Emit,
-            1 => HopKind::Scatter,
-            2 => HopKind::Merged,
             3 => HopKind::Reduce,
-            4 => HopKind::Absorb,
             _ => return None,
         })
     }
@@ -637,17 +626,13 @@ impl HopKind {
     pub fn name(self) -> &'static str {
         match self {
             HopKind::Emit => "emit",
-            HopKind::Scatter => "scatter",
-            HopKind::Merged => "re-emit",
             HopKind::Reduce => "reduce",
-            HopKind::Absorb => "absorb",
         }
     }
 }
 
 /// One hop of a sampled record: which flowlet moved it, over which
-/// edge, from which node to which, and how (normal emit, hot-key
-/// scatter, absorber re-emit, reduce ingest).
+/// edge, from which node to which, and how (emit or reduce ingest).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LineageHop {
     pub kind: HopKind,
@@ -898,17 +883,10 @@ pub fn render_explain(job: &str, sample: &LineageSample) -> String {
         sample.hash,
         job
     ));
-    let mut split_seen = false;
     for h in &sample.hops {
         let arrow = match h.kind {
             HopKind::Emit => "emitted",
-            HopKind::Scatter => {
-                split_seen = true;
-                "SCATTERED (hot-key split)"
-            }
-            HopKind::Merged => "re-emitted (absorber merge)",
             HopKind::Reduce => "ingested by reduce",
-            HopKind::Absorb => "absorbed (skew partials)",
         };
         out.push_str(&format!(
             "  {} via flowlet '{}' edge {}: node {} -> node {} ({} record{})\n",
@@ -925,14 +903,11 @@ pub fn render_explain(job: &str, sample: &LineageSample) -> String {
         .hops
         .iter()
         .rev()
-        .find(|h| matches!(h.kind, HopKind::Reduce | HopKind::Absorb))
+        .find(|h| h.kind == HopKind::Reduce)
         .map(|h| h.dst);
     match reducer {
         Some(n) => out.push_str(&format!("  final reducer: node {n}\n")),
         None => out.push_str("  final reducer: (no consume hop recorded)\n"),
-    }
-    if split_seen {
-        out.push_str("  path crossed the skew splitter: scatter -> absorb -> re-emit\n");
     }
     out
 }
@@ -1004,7 +979,8 @@ impl StatsPlane {
     }
 
     /// Fold one finished bin into the (edge, dst) sketch slot and, when
-    /// lineage is on, append a hop for every sampled key in the bin.
+    /// lineage is on, append an emit hop for every sampled key in the
+    /// bin.
     /// `iter` yields `(hash, key-bytes, value-len)` straight from the
     /// frame — the hash is the one computed at emit, never recomputed.
     #[allow(clippy::too_many_arguments)]
@@ -1012,7 +988,6 @@ impl StatsPlane {
         &self,
         edge: u32,
         dst: u32,
-        kind: HopKind,
         flowlet: u32,
         flowlet_name: &str,
         src: u32,
@@ -1065,7 +1040,7 @@ impl StatsPlane {
             };
             if entry.hops.len() < MAX_LINEAGE_HOPS {
                 entry.hops.push(LineageHop {
-                    kind,
+                    kind: HopKind::Emit,
                     flowlet,
                     flowlet_name: flowlet_name.to_string(),
                     edge,
@@ -1077,7 +1052,7 @@ impl StatsPlane {
         }
     }
 
-    /// Record a consume-side hop (reduce ingest / skew absorb) for
+    /// Record a reduce-ingest hop for
     /// every already-sampled hash in the bin. Emit-side hops always
     /// precede consumption, so only known hashes are updated — no new
     /// samples originate here.
@@ -1086,7 +1061,6 @@ impl StatsPlane {
         &self,
         edge: u32,
         node: u32,
-        kind: HopKind,
         flowlet: u32,
         flowlet_name: &str,
         src: u32,
@@ -1112,7 +1086,7 @@ impl StatsPlane {
             if let Some(entry) = lineage.get_mut(&hash) {
                 if entry.hops.len() < MAX_LINEAGE_HOPS {
                     entry.hops.push(LineageHop {
-                        kind,
+                        kind: HopKind::Reduce,
                         flowlet,
                         flowlet_name: flowlet_name.to_string(),
                         edge,
@@ -1308,13 +1282,12 @@ mod tests {
         plane.fold_bin(
             1,
             2,
-            HopKind::Emit,
             0,
             "mapper",
             0,
             vec![(h, &key[..], 10), (h, &key[..], 12)].into_iter(),
         );
-        plane.consume_bin(1, 2, HopKind::Reduce, 1, "reducer", 0, vec![h].into_iter());
+        plane.consume_bin(1, 2, 1, "reducer", 0, vec![h].into_iter());
         let snap = plane.snapshot("job", "hamr", &[false, true]);
         assert_eq!(snap.edges.len(), 1);
         assert_eq!(snap.edges[0].edge, 1);

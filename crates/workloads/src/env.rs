@@ -244,15 +244,12 @@ pub struct BenchOutput {
     /// Mean per-node occupancy imbalance (CV of tasks-per-worker;
     /// 0 = every worker ran the same number of tasks).
     pub occupancy_imbalance: f64,
-    /// Records folded away by HAMR's skew combiners (in-node
-    /// pre-aggregation plus scatter absorption). 0 for mapred.
+    /// Records folded away by HAMR's in-node combiners. 0 for mapred.
     pub combined_records: u64,
-    /// Hot reduce partitions flagged for scattering by the emit-side
-    /// key sketch. 0 for mapred.
+    /// Always 0: hot-key splitting was removed and the combiner is the
+    /// one skew mechanism. Kept so existing readers of the field
+    /// compile; goes with the benchmark's `core.skew.splits` metric.
     pub splits_triggered: u64,
-    /// Reduce shards the skew planner migrated off overloaded nodes.
-    /// 0 for mapred.
-    pub shards_migrated: u64,
     /// Per-iteration telemetry (empty for single-job workloads and
     /// for the MapReduce engine).
     pub iters: Vec<IterStats>,
@@ -280,8 +277,6 @@ impl BenchOutput {
         self.stolen_tasks += m.total_stolen_tasks();
         self.park_seconds += m.total_park_time().as_secs_f64();
         self.combined_records += m.total_combined();
-        self.splits_triggered += m.total_splits();
-        self.shards_migrated += m.total_migrated();
         let n = jobs_so_far as f64;
         self.occupancy_imbalance =
             (self.occupancy_imbalance * n + m.mean_occupancy_imbalance()) / (n + 1.0);

@@ -65,9 +65,10 @@ impl HistogramRatings {
             job.connect(rating_map, local, Exchange::Local);
             job.connect_combined(local, sum, Exchange::Hash, typed::sum_combiner());
         } else {
-            // The skew layer's in-node combiner (when enabled) folds the
-            // per-rating counts before the shuffle; the registration is
-            // inert under `HAMR_SKEW=off`.
+            // The in-node combiner (on by default, `HAMR_SKEW=combine`)
+            // folds the per-rating counts inside each map task before
+            // the shuffle, so each task ships at most one partial per
+            // rating; the registration is inert under `HAMR_SKEW=off`.
             job.connect_combined(rating_map, sum, Exchange::Hash, typed::sum_combiner());
         }
         job.capture_output(sum);

@@ -161,58 +161,15 @@ fn kcliques_engines_agree_skewed() {
 }
 
 // ---------------------------------------------------------------
-// Skew-mitigation ablation: every combination of combine / split /
-// rebalance must leave the answer untouched on every skewed workload.
-// The thresholds are lowered so splitting and rebalancing genuinely
-// engage at test scale instead of passing vacuously.
+// Skew-mitigation ablation: the in-node combiner off and on must leave
+// the answer untouched on every skewed workload.
 // ---------------------------------------------------------------
 
 fn mitigation_combos() -> Vec<(&'static str, hamr_core::SkewConfig)> {
     use hamr_core::SkewConfig;
-    let tuned = SkewConfig {
-        split_threshold: 16,
-        rebalance_factor: 1.2,
-        rebalance_min_records: 64,
-        ..SkewConfig::default()
-    };
     vec![
         ("off", SkewConfig::off()),
-        (
-            "combine",
-            SkewConfig {
-                combine: true,
-                split: false,
-                rebalance: false,
-                ..tuned.clone()
-            },
-        ),
-        (
-            "split",
-            SkewConfig {
-                combine: false,
-                split: true,
-                rebalance: false,
-                ..tuned.clone()
-            },
-        ),
-        (
-            "rebalance",
-            SkewConfig {
-                combine: false,
-                split: false,
-                rebalance: true,
-                ..tuned.clone()
-            },
-        ),
-        (
-            "all",
-            SkewConfig {
-                combine: true,
-                split: true,
-                rebalance: true,
-                ..tuned
-            },
-        ),
+        ("combine", SkewConfig::default()),
     ]
 }
 

@@ -122,61 +122,22 @@ fn skewed_workloads_agree_across_schedulers() {
     }
 }
 
-/// Every scheduler × every skew-mitigation combination: the mitigations
-/// re-route and pre-fold records in ways that interact with task
-/// ordering (absorber stripes, redistribution barriers), so each
-/// scheduler gets the full ablation sweep. Thresholds are lowered so
-/// splitting and rebalancing actually engage at test scale.
+/// Every scheduler × combiner off and on: combining pre-folds records
+/// inside tasks whose grouping depends on task ordering, so each
+/// scheduler runs both settings, and every run must match the
+/// MapReduce reference — checksum identity across both engines.
 #[test]
 fn skewed_workloads_agree_across_schedulers_and_mitigations() {
     use hamr_core::{RuntimeConfig, SkewConfig};
-    let tuned = SkewConfig {
-        split_threshold: 16,
-        rebalance_factor: 1.2,
-        rebalance_min_records: 64,
-        ..SkewConfig::default()
-    };
-    let combos: Vec<(&str, SkewConfig)> = vec![
+    let combos = [
         ("off", SkewConfig::off()),
-        (
-            "combine",
-            SkewConfig {
-                combine: true,
-                split: false,
-                rebalance: false,
-                ..tuned.clone()
-            },
-        ),
-        (
-            "split",
-            SkewConfig {
-                combine: false,
-                split: true,
-                rebalance: false,
-                ..tuned.clone()
-            },
-        ),
-        (
-            "rebalance",
-            SkewConfig {
-                combine: false,
-                split: false,
-                rebalance: true,
-                ..tuned.clone()
-            },
-        ),
-        (
-            "all",
-            SkewConfig {
-                combine: true,
-                split: true,
-                rebalance: true,
-                ..tuned
-            },
-        ),
+        ("combine", SkewConfig::default()),
     ];
     for bench in skewed_variants() {
-        let mut baseline: Option<(u64, u64)> = None;
+        let reference = Env::test(3, 2);
+        bench.seed(&reference).expect("seed");
+        let mr = bench.run_mapred(&reference).expect("mapred run");
+        let want = (mr.checksum, mr.records);
         for mode in MODES {
             for (combo, skew) in &combos {
                 let runtime = RuntimeConfig {
@@ -187,15 +148,12 @@ fn skewed_workloads_agree_across_schedulers_and_mitigations() {
                 let env = Env::with_hamr_runtime(SimParams::test(3, 2), runtime);
                 bench.seed(&env).expect("seed");
                 let out = bench.run_hamr(&env).expect("hamr run");
-                match baseline {
-                    None => baseline = Some((out.checksum, out.records)),
-                    Some(want) => assert_eq!(
-                        (out.checksum, out.records),
-                        want,
-                        "{}: {mode:?} with mitigation '{combo}' changed the answer",
-                        bench.name()
-                    ),
-                }
+                assert_eq!(
+                    (out.checksum, out.records),
+                    want,
+                    "{}: {mode:?} with mitigation '{combo}' disagrees with mapred",
+                    bench.name()
+                );
             }
         }
     }

@@ -1,15 +1,14 @@
 //! Workload-level acceptance for the data-plane statistics layer.
 //!
 //! The skewed HistogramRatings run is the paper's §5.2 pathology: five
-//! rating keys, one of them drawing most of the traffic. With the
-//! splitter engaged the statistics must *name* that hot key — the
-//! heavy-hitter sketch on the shuffle edge ranks it first — and with
-//! 1-in-1 lineage sampling the `hamr explain` rendering must walk a
-//! hot-key record through the scatter → absorb → re-emit detour the
-//! mitigation created. A healthy (unsplit) run's sample, by contrast,
-//! goes straight to reduce. The MapReduce baseline folds the same
-//! sketches on its reduce side, so both engines agree on the
-//! five-key cardinality — with `groups` as the exact anchor.
+//! rating keys, one of them drawing most of the traffic. The statistics
+//! must *name* that hot key — the heavy-hitter sketch on the shuffle
+//! edge ranks it first, with its exact count — and with 1-in-1 lineage
+//! sampling the `hamr explain` rendering must walk a hot-key record
+//! from its emit straight to the reducer at its home node. A healthy
+//! run's samples likewise go straight to reduce. The MapReduce baseline
+//! folds the same sketches on its reduce side, so both engines agree on
+//! the five-key cardinality — with `groups` as the exact anchor.
 
 use hamr_core::{RuntimeConfig, SkewConfig};
 use hamr_trace::stats::render_explain;
@@ -61,19 +60,12 @@ fn hottest_rating(bench: &HistogramRatings, seed: u64) -> (u64, u64, u64) {
 }
 
 #[test]
-fn skewed_histogram_sketch_names_the_split_hot_key() {
+fn skewed_histogram_sketch_names_the_hot_key() {
     let dir = journal_dir("skew");
-    // The sched_differential split tuning: thresholds low enough that
-    // the splitter engages at test scale. Combining stays off so the
-    // per-rating record counts reach the emit-side sketches unfolded.
+    // Combining stays off so the per-rating record counts reach the
+    // emit-side sketches unfolded.
     let runtime = RuntimeConfig {
-        skew: SkewConfig {
-            combine: false,
-            split: true,
-            rebalance: false,
-            split_threshold: 16,
-            ..SkewConfig::default()
-        },
+        skew: SkewConfig::off(),
         stats: StatsMode::Full { sample_one_in: 1 },
         ..Default::default()
     };
@@ -88,11 +80,6 @@ fn skewed_histogram_sketch_names_the_split_hot_key() {
     };
     bench.seed(&env).expect("seed");
     let out = bench.run_hamr(&env).expect("hamr run");
-    assert!(
-        out.splits_triggered > 0,
-        "skewed run did not engage the splitter (splits={})",
-        out.splits_triggered
-    );
     drop(env);
 
     let snap = load_snapshot(&dir, "histogram-ratings");
@@ -106,10 +93,7 @@ fn skewed_histogram_sketch_names_the_split_hot_key() {
     let hot_key = vec![hot as u8];
 
     // The heavy-hitter sketch on the busiest shuffle edge must rank
-    // the generator's hottest rating first. Counts are not compared
-    // to the exact input tally: once the splitter flags the key, its
-    // remaining records detour over the scatter path, so the Normal
-    // emit fold sees only a prefix of the stream.
+    // the generator's hottest rating first.
     let edge = snap
         .edges
         .iter()
@@ -129,26 +113,27 @@ fn skewed_histogram_sketch_names_the_split_hot_key() {
         out.hot_key_share
     );
 
-    // 1-in-1 sampling: the hot key's lineage must be on file, and its
-    // path must cross the split detour — scattered off the hot
-    // partition, absorbed as skew partials, re-emitted by the
-    // absorber's merge — before reaching a reducer.
+    // 1-in-1 sampling: the hot key's lineage must be on file, and every
+    // shuffle hop must go straight to the key's one home node, where a
+    // reducer ingests it.
     let sample = snap
         .find_sample(&[hot_key], None)
         .expect("hot key was not sampled at 1-in-1");
-    let kinds: Vec<HopKind> = sample.hops.iter().map(|h| h.kind).collect();
+    let shuffle_hops: Vec<_> = sample.hops.iter().filter(|h| h.edge == edge.edge).collect();
+    let home = shuffle_hops.first().expect("hot key never shuffled").dst;
     assert!(
-        kinds.contains(&HopKind::Scatter),
-        "hot key never scattered: {kinds:?}"
+        shuffle_hops.iter().all(|h| h.dst == home),
+        "hot key left its home node: {shuffle_hops:?}"
     );
     assert!(
-        kinds.contains(&HopKind::Absorb) || kinds.contains(&HopKind::Merged),
-        "hot key split but never absorbed/re-emitted: {kinds:?}"
+        shuffle_hops.iter().any(|h| h.kind == HopKind::Reduce),
+        "hot key never reached a reducer: {shuffle_hops:?}"
     );
     let rendered = render_explain(&snap.job, sample);
     assert!(
-        rendered.contains("SCATTERED (hot-key split)"),
-        "explain misses the split: {rendered}"
+        rendered.contains("ingested by reduce")
+            && rendered.contains(&format!("final reducer: node {home}")),
+        "explain misses the reduce hop: {rendered}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -182,14 +167,9 @@ fn healthy_run_sample_goes_straight_to_reduce() {
         .collect();
     // Loader-edge samples (synthetic line keys on the Local edge) end
     // at the map; every key that crossed a shuffle edge must end at a
-    // reducer, with no split detour anywhere.
+    // reducer.
     let mut shuffled_samples = 0;
     for sample in &snap.samples {
-        let kinds: Vec<HopKind> = sample.hops.iter().map(|h| h.kind).collect();
-        assert!(
-            !kinds.contains(&HopKind::Scatter),
-            "healthy run scattered a key: {kinds:?}"
-        );
         if !sample.hops.iter().any(|h| shuffle_edges.contains(&h.edge)) {
             continue;
         }
