@@ -5,14 +5,14 @@
 //! concentrate the work on a few hot keys — on the HAMR and MapReduce
 //! engines at fixed seeds and sizes, and writes a machine-readable
 //! `BENCH_pr8.json` (schema `hamr-benchjson/6`, documented in
-//! EXPERIMENTS.md). HAMR runs twice: under the default work-stealing
-//! scheduler (`hamr`) and under the centralized scheduler it replaced
-//! (`hamr-central`), so every snapshot carries its own scheduler
-//! ablation. Every HAMR row also reports the skew-mitigation counters
-//! (`combined_records`, and `splits_triggered`, which is always 0 now
-//! that the in-node combiner is the one skew mechanism) — the default
-//! runtime runs with combining on, so the headline rows measure the
-//! mitigated engine.
+//! EXPERIMENTS.md). Each benchmark yields one `hamr` row (the
+//! work-stealing scheduler) and one `mapred` row; older snapshots also
+//! carry rows for a second scheduler since removed (see
+//! EXPERIMENTS.md). Every HAMR row also reports the skew-mitigation
+//! counters (`combined_records`, and `splits_triggered`, which is
+//! always 0 now that the in-node combiner is the one skew mechanism)
+//! — the default runtime runs with combining on, so the headline rows
+//! measure the mitigated engine.
 //!
 //! Schema 5 adds per-iteration columns: every row carries an `iters`
 //! array (`iter_shuffled_bytes`, `iter_records_s`, `cache_hits`,
@@ -98,7 +98,7 @@
 //! read back into a timeline (a completed `wordcount` job must be
 //! reconstructable) before the gate passes.
 
-use hamr_core::{RuntimeConfig, SchedMode, SkewConfig, Supervision};
+use hamr_core::{RuntimeConfig, SkewConfig, Supervision};
 use hamr_trace::{analyze, http_get, parse_prometheus, RingSink, Telemetry, Tracer};
 use hamr_workloads::histogram_ratings::HistogramRatings;
 use hamr_workloads::pagerank::PageRank;
@@ -654,7 +654,7 @@ fn skew_ablation(params: &SimParams) -> Result<Vec<AblationRow>, String> {
         max_ratings_per_movie: 100_000,
     };
     let mut rows = Vec::new();
-    let env = Env::with_hamr_sched(params.clone(), SchedMode::WorkStealing);
+    let env = Env::new(params.clone());
     bench.seed(&env)?;
     let mr = bench.run_mapred(&env)?;
     let row = |combo, engine, out: &BenchOutput| AblationRow {
@@ -672,7 +672,6 @@ fn skew_ablation(params: &SimParams) -> Result<Vec<AblationRow>, String> {
     rows.push(row("reference", "mapred", &mr));
     for (combo, skew) in skew_combos() {
         let runtime = RuntimeConfig {
-            sched: SchedMode::WorkStealing,
             skew,
             ..Default::default()
         };
@@ -824,10 +823,9 @@ fn profile_run(
     label: &str,
     engine: &str,
     params: &SimParams,
-    sched: SchedMode,
     profile_dir: Option<&str>,
 ) -> Result<ProfileCols, String> {
-    let env = Env::with_hamr_sched(params.clone(), sched);
+    let env = Env::new(params.clone());
     bench.seed(&env)?;
     let sink = Arc::new(RingSink::new(64, 1 << 18));
     let tracer = Tracer::new(sink.clone());
@@ -873,9 +871,8 @@ fn audited_run(
     label: &str,
     engine: &str,
     params: &SimParams,
-    sched: SchedMode,
 ) -> Result<f64, String> {
-    let env = Env::with_hamr_sched(params.clone(), sched);
+    let env = Env::new(params.clone());
     bench.seed(&env)?;
     env.hamr.attach_supervisor(Supervision::default());
     env.mr.attach_audit();
@@ -919,10 +916,10 @@ fn audited_run(
 /// fails CI here, not in a production post-mortem.
 fn journal_run(params: &SimParams, dir: &str) -> Result<(f64, f64), String> {
     let bench = WordCount::default();
-    let env = Env::with_hamr_sched(params.clone(), SchedMode::WorkStealing);
+    let env = Env::new(params.clone());
     bench.seed(&env)?;
     let untraced = bench.run_hamr(&env)?.elapsed.as_secs_f64();
-    let env = Env::with_hamr_sched(params.clone(), SchedMode::WorkStealing);
+    let env = Env::new(params.clone());
     bench.seed(&env)?;
     env.hamr
         .enable_journal(dir)
@@ -951,7 +948,7 @@ fn journal_run(params: &SimParams, dir: &str) -> Result<(f64, f64), String> {
 /// mode), and the count of successful mid-run scrapes.
 fn metrics_snapshot_run(params: &SimParams) -> Result<(String, String, u64), String> {
     let bench = WordCount::default();
-    let env = Env::with_hamr_sched(params.clone(), SchedMode::WorkStealing);
+    let env = Env::new(params.clone());
     bench.seed(&env)?;
     let addr = env
         .hamr
@@ -1077,32 +1074,20 @@ fn main() {
     let mut overheads: Vec<(String, &'static str, f64, f64)> = Vec::new();
     for (label, bench) in benchmarks() {
         let mut hamr_runs: Vec<(BenchOutput, u64)> = Vec::new();
-        let mut central_runs: Vec<(BenchOutput, u64)> = Vec::new();
         let mut mr_runs: Vec<(BenchOutput, u64)> = Vec::new();
         for _rep in 0..args.reps {
             // Fresh environments per rep keep runs identical: same
-            // seeds, empty DFS, cold KV store. The scheduler mode is
-            // pinned per environment so `HAMR_SCHED` cannot skew the
-            // comparison.
-            let env_ws = Env::with_hamr_sched(params.clone(), SchedMode::WorkStealing);
-            let env_central = Env::with_hamr_sched(params.clone(), SchedMode::Centralized);
-            for env in [&env_ws, &env_central] {
-                bench.seed(env).unwrap_or_else(|e| {
-                    eprintln!("benchjson: seed {label}: {e}");
-                    std::process::exit(1);
-                });
-            }
-            type EngineRuns<'a> = (&'a str, &'a Env, &'a mut Vec<(BenchOutput, u64)>);
-            let trio: [EngineRuns; 3] = [
-                ("hamr", &env_ws, &mut hamr_runs),
-                ("hamr-central", &env_central, &mut central_runs),
-                ("mapred", &env_ws, &mut mr_runs),
-            ];
-            for (engine, env, runs) in trio {
+            // seeds, empty DFS, cold KV store.
+            let env = Env::new(params.clone());
+            bench.seed(&env).unwrap_or_else(|e| {
+                eprintln!("benchjson: seed {label}: {e}");
+                std::process::exit(1);
+            });
+            for (engine, runs) in [("hamr", &mut hamr_runs), ("mapred", &mut mr_runs)] {
                 let before = ALLOCS.load(Ordering::Relaxed);
                 let out = match engine {
-                    "mapred" => bench.run_mapred(env),
-                    _ => bench.run_hamr(env),
+                    "mapred" => bench.run_mapred(&env),
+                    _ => bench.run_hamr(&env),
                 }
                 .unwrap_or_else(|e| {
                     eprintln!("benchjson: {label} ({engine}): {e}");
@@ -1113,21 +1098,15 @@ fn main() {
             }
         }
         let mut hamr = Row::from_runs(label, "hamr", &hamr_runs);
-        let mut central = Row::from_runs(label, "hamr-central", &central_runs);
         let mut mr = Row::from_runs(label, "mapred", &mr_runs);
         // One extra profiled run per row fills the causal columns; its
         // wall never enters the timing columns above.
-        for (row, sched) in [
-            (&mut hamr, SchedMode::WorkStealing),
-            (&mut central, SchedMode::Centralized),
-            (&mut mr, SchedMode::WorkStealing),
-        ] {
+        for row in [&mut hamr, &mut mr] {
             let cols = profile_run(
                 bench.as_ref(),
                 label,
                 row.engine,
                 &params,
-                sched,
                 args.profile_dir.as_deref(),
             )
             .unwrap_or_else(|e| {
@@ -1146,13 +1125,9 @@ fn main() {
         // watchdog must stay silent, and the wall joins the overhead
         // gate under an `-audited` engine label.
         if args.audited {
-            for (row, sched, gate_label) in [
-                (&hamr, SchedMode::WorkStealing, "hamr-audited"),
-                (&central, SchedMode::Centralized, "hamr-central-audited"),
-                (&mr, SchedMode::WorkStealing, "mapred-audited"),
-            ] {
-                let wall = audited_run(bench.as_ref(), label, row.engine, &params, sched)
-                    .unwrap_or_else(|e| {
+            for (row, gate_label) in [(&hamr, "hamr-audited"), (&mr, "mapred-audited")] {
+                let wall =
+                    audited_run(bench.as_ref(), label, row.engine, &params).unwrap_or_else(|e| {
                         eprintln!("benchjson: audited {label} ({}): {e}", row.engine);
                         std::process::exit(4);
                     });
@@ -1160,19 +1135,15 @@ fn main() {
             }
         }
         eprintln!(
-            "{:<22} hamr {:>12.0} rec/s ({:.3}s, {} steals)   \
-             hamr-central {:>12.0} rec/s ({:.3}s)   mapred {:>12.0} rec/s ({:.3}s)",
+            "{:<22} hamr {:>12.0} rec/s ({:.3}s, {} steals)   mapred {:>12.0} rec/s ({:.3}s)",
             label,
             hamr.records_per_sec,
             hamr.wall_seconds,
             hamr.steals,
-            central.records_per_sec,
-            central.wall_seconds,
             mr.records_per_sec,
             mr.wall_seconds,
         );
         rows.push(hamr);
-        rows.push(central);
         rows.push(mr);
     }
 

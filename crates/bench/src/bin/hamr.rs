@@ -44,7 +44,6 @@
 //!
 //! Exit codes: 0 ok, 1 endpoint/scrape failure, 2 bad arguments.
 
-use hamr_core::SchedMode;
 use hamr_trace::json::{self, Json};
 use hamr_trace::{http_get, parse_prometheus, PromSample, RingSink, Telemetry, Timeline, Tracer};
 use hamr_workloads::histogram_ratings::HistogramRatings;
@@ -350,7 +349,7 @@ fn top_loop(addr: SocketAddr, engine: &str, interval: Duration, ticks: u64) -> R
 /// endpoint.
 fn run_demo(interval: Duration, ticks: u64) -> Result<(), String> {
     let params = SimParams::test(4, 2).with_scale(1.0);
-    let env = Env::with_hamr_sched(params, SchedMode::WorkStealing);
+    let env = Env::new(params);
     let bench = HistogramRatings {
         movies: 16,
         users: 50_000,

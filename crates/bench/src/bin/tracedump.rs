@@ -301,8 +301,8 @@ fn main() {
     events.extend(events_hr);
     // Per-worker scheduler view: task counts, busy time, steals, and
     // park time per lane across both runs. The work-stealing scheduler
-    // (the default) shows nonzero steal/park columns; under
-    // HAMR_SCHED=centralized they are all dashes.
+    // (the default) shows nonzero steal/park columns; under the
+    // deterministic scheduler they are all dashes.
     println!("== HAMR worker occupancy (both runs) ==");
     println!("{}", render_occupancy(&worker_occupancy(&events)));
     println!(

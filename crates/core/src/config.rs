@@ -24,38 +24,14 @@ pub enum SchedMode {
     /// Decentralized work stealing (the default): each worker owns a
     /// LIFO deque, steals FIFO from peers when dry, and parks on a
     /// bounded timeout only when the node is drained. The runtime
-    /// thread shrinks to an ingress/egress pump.
+    /// thread shrinks to an ingress pump; workers ship their own
+    /// output.
     WorkStealing,
-    /// The pre-refactor control plane: one runtime thread owns all
-    /// scheduling state and hands tasks to workers over a shared
-    /// channel. Kept as an A/B baseline and differential-test oracle.
-    Centralized,
     /// Single-threaded, seeded replay: no worker threads at all; a
     /// seeded PRNG picks the next ready task and runs it inline on the
     /// runtime thread. Deterministic interleaving for differential
     /// tests.
     Deterministic { seed: u64 },
-}
-
-impl SchedMode {
-    /// Parse the `HAMR_SCHED` environment override used by the CI
-    /// matrix: `ws`/`work-stealing`, `centralized`/`central`, or
-    /// `det[:seed]`.
-    pub fn from_env_str(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "ws" | "work-stealing" | "worksteal" | "workstealing" => Some(SchedMode::WorkStealing),
-            "centralized" | "central" => Some(SchedMode::Centralized),
-            other => {
-                let rest = other.strip_prefix("det")?;
-                let seed = match rest.strip_prefix(':') {
-                    Some(n) => n.parse().ok()?,
-                    None if rest.is_empty() => 0,
-                    None => return None,
-                };
-                Some(SchedMode::Deterministic { seed })
-            }
-        }
-    }
 }
 
 /// Deliberate runtime sabotage for watchdog / flight-recorder tests.
@@ -177,24 +153,17 @@ impl Default for RuntimeConfig {
             barrier_mode: false,
             contention: ContentionMode::SharedLocked,
             fire_shards: 0, // 0 = use worker count
-            // The CI matrix exercises both control planes by exporting
-            // HAMR_SCHED; explicit `sched` assignments in code (e.g.
-            // the differential tests) are unaffected by the env var.
-            sched: std::env::var("HAMR_SCHED")
-                .ok()
-                .and_then(|s| SchedMode::from_env_str(&s))
-                .unwrap_or(SchedMode::WorkStealing),
+            sched: SchedMode::WorkStealing,
             fault: FaultInjection::None,
-            // Like HAMR_SCHED, HAMR_SKEW=off|combine lets CI ablate the
-            // combiner without touching code; explicit assignments
-            // override.
+            // HAMR_SKEW=off|combine lets CI ablate the combiner without
+            // touching code; explicit assignments override.
             skew: std::env::var("HAMR_SKEW")
                 .ok()
                 .and_then(|s| SkewConfig::from_env_str(&s))
                 .unwrap_or_default(),
             // HAMR_STATS=off|edges|full[:N] — same env-gate idiom as
-            // HAMR_SCHED/HAMR_SKEW. Defaults to `edges` (sketches on,
-            // lineage sampling off).
+            // HAMR_SKEW. Defaults to `edges` (sketches on, lineage
+            // sampling off).
             stats: hamr_trace::StatsMode::from_env_str(std::env::var("HAMR_STATS").ok().as_deref()),
         }
     }
@@ -386,29 +355,6 @@ mod tests {
         assert!(r.out_window_bins > 0);
         assert!(r.defer_high_water >= r.out_window_bins);
         assert_eq!(r.contention, ContentionMode::SharedLocked);
-    }
-
-    #[test]
-    fn sched_mode_env_strings_parse() {
-        assert_eq!(SchedMode::from_env_str("ws"), Some(SchedMode::WorkStealing));
-        assert_eq!(
-            SchedMode::from_env_str("work-stealing"),
-            Some(SchedMode::WorkStealing)
-        );
-        assert_eq!(
-            SchedMode::from_env_str("centralized"),
-            Some(SchedMode::Centralized)
-        );
-        assert_eq!(
-            SchedMode::from_env_str("det"),
-            Some(SchedMode::Deterministic { seed: 0 })
-        );
-        assert_eq!(
-            SchedMode::from_env_str("det:42"),
-            Some(SchedMode::Deterministic { seed: 42 })
-        );
-        assert_eq!(SchedMode::from_env_str("bogus"), None);
-        assert_eq!(SchedMode::from_env_str("det:notanumber"), None);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub struct NodeMetrics {
     /// run, none of an untraced one.
     pub spanned_bins_in: u64,
     /// Work-stealing: steal operations that fetched at least one task
-    /// (zero under the centralized/deterministic schedulers).
+    /// (zero under the deterministic scheduler).
     pub steals: u64,
     /// Work-stealing: total tasks relocated by steals.
     pub stolen_tasks: u64,

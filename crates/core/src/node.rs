@@ -5,21 +5,19 @@
 //! queue fed by the network fabric, and a worker thread pool. The
 //! runtime thread owns the per-flowlet *admission* state machine
 //! (which bins may become tasks, when completion fires); how admitted
-//! tasks reach worker threads depends on [`SchedMode`]:
+//! tasks are executed depends on [`SchedMode`]:
 //!
 //! * **WorkStealing** (default) — the runtime thread shrinks to an
-//!   ingress/egress pump: it admits tasks into the node's
-//!   [`sched::Pool`] injector and processes completion/ack bookkeeping.
-//!   Workers fetch from their own LIFO deque, steal FIFO from peers,
-//!   and ship finished bins *directly* through the shared
-//!   [`FlowControl`] — a flow-control defer/resume never round-trips
-//!   the runtime thread.
-//! * **Centralized** — the pre-refactor control plane: one shared
-//!   channel, workers only execute and report back; the runtime thread
-//!   ships every bin itself. Kept as an A/B baseline and differential
-//!   oracle.
+//!   ingress pump: it admits tasks into the node's [`sched::Pool`]
+//!   injector and processes completion bookkeeping. Workers fetch from
+//!   their own LIFO deque, steal FIFO from peers, and ship finished
+//!   bins *directly* through the shared [`FlowControl`] — a
+//!   flow-control defer/resume never round-trips the runtime thread.
 //! * **Deterministic** — no worker threads; a seeded PRNG replays one
 //!   task interleaving inline on the runtime thread.
+//!
+//! Either way the thread that executed a task ships its ack and bins
+//! ([`ship_done`]) before the runtime thread sees the [`TaskDone`].
 //!
 //! ## Scheduling (paper §2, Fig. 2)
 //! * A flowlet **task** is the finest unit: one loader split, one bin
@@ -453,25 +451,12 @@ fn execute_task(shared: &WorkerShared, worker_id: usize, task: Task) -> TaskDone
     done
 }
 
-fn worker_loop(
-    worker_id: usize,
-    shared: Arc<WorkerShared>,
-    rx: Receiver<Task>,
-    done_tx: Sender<TaskDone>,
-) {
-    while let Ok(task) = rx.recv() {
-        let done = execute_task(&shared, worker_id, task);
-        if done_tx.send(done).is_err() {
-            return;
-        }
-    }
-}
-
 /// Send the acknowledgement and ship (or defer) the bins of a finished
 /// task, draining `done` of both so the runtime thread only does state
-/// bookkeeping. Called by the executing thread itself: under work
-/// stealing that is the worker, so egress never waits on the runtime
-/// loop; under centralized/deterministic it is the runtime thread.
+/// bookkeeping. This is the node's only egress for task output, called
+/// by the executing thread itself: under work stealing that is the
+/// worker, so egress never waits on the runtime loop; under the
+/// deterministic scheduler it is the runtime thread, inline.
 fn ship_done(flow: &FlowControl, endpoint: &Endpoint<NetMsg>, lane: u32, done: &mut TaskDone) {
     if done.panic.is_some() {
         // Keep the ack and bins unshipped; the runtime aborts the job.
@@ -614,11 +599,6 @@ pub(crate) fn run_node(
 
 /// The task execution backend, selected by [`SchedMode`].
 enum Exec {
-    /// One shared channel; workers only execute, the runtime ships.
-    Centralized {
-        task_tx: Option<Sender<Task>>,
-        workers: Vec<std::thread::JoinHandle<()>>,
-    },
     /// Per-worker deques + injector; workers ship their own results.
     WorkStealing {
         pool: Arc<Pool<Task>>,
@@ -753,24 +733,6 @@ impl NodeRuntime {
             telemetry.register(node as u32, format!("node{node}/pending_bin_bytes"));
         let (done_tx, done_rx) = unbounded::<TaskDone>();
         let exec = match cfg.sched {
-            SchedMode::Centralized => {
-                let (task_tx, task_rx) = unbounded::<Task>();
-                let workers = (0..threads)
-                    .map(|w| {
-                        let shared = Arc::clone(&shared);
-                        let rx = task_rx.clone();
-                        let tx = done_tx.clone();
-                        std::thread::Builder::new()
-                            .name(format!("hamr-n{node}-w{w}"))
-                            .spawn(move || worker_loop(w, shared, rx, tx))
-                            .expect("spawn worker")
-                    })
-                    .collect();
-                Exec::Centralized {
-                    task_tx: Some(task_tx),
-                    workers,
-                }
-            }
             SchedMode::WorkStealing => {
                 let pool = Arc::new(Pool::new(threads));
                 let workers = (0..threads)
@@ -984,15 +946,6 @@ impl NodeRuntime {
             },
         );
         match exec {
-            Exec::Centralized {
-                mut task_tx,
-                mut workers,
-            } => {
-                task_tx.take();
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-            }
             Exec::WorkStealing { pool, mut workers } => {
                 pool.shutdown();
                 for w in workers.drain(..) {
@@ -1198,15 +1151,10 @@ impl NodeRuntime {
         if !done.captured.is_empty() {
             self.captured.entry(f).or_default().extend(done.captured);
         }
-        if let Some((origin, edge)) = done.ack_to {
-            let _ = self.endpoint.send(origin, NetMsg::Ack { edge });
-        }
-        // Centralized/deterministic: the runtime ships. Under work
-        // stealing the worker already drained these (ship_done), so the
-        // loop body never runs.
-        for (dst, bin) in done.bins {
-            self.flow.ship_or_defer(WORKER_RUNTIME, f, dst, bin);
-        }
+        debug_assert!(
+            done.ack_to.is_none() && done.bins.is_empty(),
+            "task output reached the runtime thread unshipped"
+        );
     }
 
     fn dispatch(&mut self, task: Task) {
@@ -1214,11 +1162,6 @@ impl NodeRuntime {
         self.instances[f].running += 1;
         self.outstanding += 1;
         match &mut self.exec {
-            Exec::Centralized { task_tx, .. } => {
-                if let Some(tx) = task_tx {
-                    let _ = tx.send(task);
-                }
-            }
             Exec::WorkStealing { pool, .. } => pool.submit(task),
             Exec::Deterministic { ready, .. } => ready.push(task),
         }
@@ -1236,29 +1179,17 @@ impl NodeRuntime {
             self.outstanding += 1;
         }
         match &mut self.exec {
-            Exec::Centralized { task_tx, .. } => {
-                if let Some(tx) = task_tx {
-                    for t in tasks {
-                        let _ = tx.send(t);
-                    }
-                }
-            }
             Exec::WorkStealing { pool, .. } => pool.submit_batch(tasks),
             Exec::Deterministic { ready, .. } => ready.extend(tasks),
         }
     }
 
-    /// Capacity for admitting more tasks right now. Centralized keeps a
-    /// shallow backlog (twice the workers) since one thread makes every
-    /// decision anyway; work stealing admits deeper (four per worker)
-    /// because queued tasks sit in per-worker deques where idle peers
-    /// can steal them, and `defer_high_water` still bounds memory.
+    /// Capacity for admitting more tasks right now: four per worker
+    /// under either backend, because queued tasks sit in per-worker
+    /// deques where idle peers can steal them, and `defer_high_water`
+    /// still bounds memory.
     fn has_capacity(&self) -> bool {
-        let cap = match &self.exec {
-            Exec::WorkStealing { .. } => self.threads * 4,
-            _ => self.threads * 2,
-        };
-        self.outstanding < cap
+        self.outstanding < self.threads * 4
     }
 
     fn pump(&mut self) {

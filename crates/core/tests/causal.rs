@@ -97,7 +97,6 @@ fn assert_conserved(report: &CausalReport) {
 fn all_modes() -> Vec<SchedMode> {
     vec![
         SchedMode::WorkStealing,
-        SchedMode::Centralized,
         SchedMode::Deterministic { seed: 7 },
     ]
 }

@@ -125,7 +125,6 @@ fn serve_agrees_across_all_scheduler_modes() {
     let mut baseline: Option<Vec<(u64, u64)>> = None;
     for sched in [
         SchedMode::WorkStealing,
-        SchedMode::Centralized,
         SchedMode::Deterministic { seed: 7 },
     ] {
         let cluster = cluster_with(sched);

@@ -141,16 +141,6 @@ impl Env {
         env.mr.set_registry(env.hamr.registry().clone());
         env
     }
-
-    /// Build an Env whose HAMR cluster runs under a specific scheduler
-    /// (overrides the `HAMR_SCHED` environment default).
-    pub fn with_hamr_sched(params: SimParams, sched: hamr_core::SchedMode) -> Self {
-        let runtime = hamr_core::RuntimeConfig {
-            sched,
-            ..Default::default()
-        };
-        Env::with_hamr_runtime(params, runtime)
-    }
 }
 
 impl Env {
@@ -234,8 +224,7 @@ pub struct BenchOutput {
     /// reported.
     pub shuffled_bytes: u64,
     /// Successful work-steal operations across all nodes. 0 for the
-    /// MapReduce engine and for HAMR under the centralized or
-    /// deterministic schedulers.
+    /// MapReduce engine and for HAMR under the deterministic scheduler.
     pub steals: u64,
     /// Total tasks relocated by steals.
     pub stolen_tasks: u64,

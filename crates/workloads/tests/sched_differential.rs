@@ -1,28 +1,52 @@
 //! Cross-scheduler differential: every workload must compute the same
-//! answer under all three scheduler modes. The work-stealing scheduler
+//! answer under both scheduler modes. The work-stealing scheduler
 //! moves tasks between workers mid-flight and the deterministic
 //! scheduler replays them in a seed-fixed order — neither is allowed
-//! to change a single output bit relative to the centralized baseline.
+//! to change a single output bit relative to the MapReduce baseline,
+//! the independent engine that computes each benchmark's reference
+//! answer on the same seeded input.
 //!
-//! Each mode is pinned through `Env::with_hamr_sched`, so these tests
-//! hold regardless of any `HAMR_SCHED` environment override.
+//! Each mode is pinned in the runtime config, so these tests do not
+//! depend on the default scheduler.
 
-use hamr_core::{SchedMode, Supervision, WatchdogConfig};
+use hamr_core::{RuntimeConfig, SchedMode, Supervision, WatchdogConfig};
 use hamr_workloads::{all_benchmarks, skewed_variants, Benchmark, Env, SimParams};
 
-const MODES: [SchedMode; 3] = [
-    SchedMode::Centralized,
+const MODES: [SchedMode; 2] = [
     SchedMode::WorkStealing,
     SchedMode::Deterministic { seed: 7 },
 ];
 
+/// A fresh environment whose HAMR cluster runs under `mode`.
+fn env_for(mode: SchedMode) -> Env {
+    let runtime = RuntimeConfig {
+        sched: mode,
+        ..Default::default()
+    };
+    Env::with_hamr_runtime(SimParams::test(3, 2), runtime)
+}
+
+/// The MapReduce engine's (checksum, records) for `bench` — the oracle
+/// every scheduler is held to.
+fn mapred_reference(bench: &dyn Benchmark) -> (u64, u64) {
+    let reference = Env::test(3, 2);
+    bench.seed(&reference).expect("seed");
+    let mr = bench.run_mapred(&reference).expect("mapred run");
+    assert!(
+        mr.records > 0,
+        "{}: mapred produced no output",
+        bench.name()
+    );
+    (mr.checksum, mr.records)
+}
+
 /// Run one benchmark under every scheduler mode (fresh environment per
 /// mode; the generators are seed-deterministic, so each environment
-/// holds a bit-identical input) and demand identical results.
+/// holds a bit-identical input) and demand the MapReduce answer.
 fn check(bench: &dyn Benchmark) {
-    let mut baseline: Option<(u64, u64)> = None;
+    let want = mapred_reference(bench);
     for mode in MODES {
-        let env = Env::with_hamr_sched(SimParams::test(3, 2), mode);
+        let env = env_for(mode);
         bench.seed(&env).expect("seed");
         // Every mode runs supervised: the custody ledger must balance
         // and the watchdog must stay silent regardless of how the
@@ -44,23 +68,12 @@ fn check(bench: &dyn Benchmark) {
             "{}: {mode:?}: clean workload raised watchdog events: {events:?}",
             bench.name()
         );
-        assert!(
-            out.records > 0,
-            "{} produced no output under {mode:?}",
+        assert_eq!(
+            (out.checksum, out.records),
+            want,
+            "{}: {mode:?} disagrees with mapred",
             bench.name()
         );
-        match baseline {
-            None => baseline = Some((out.checksum, out.records)),
-            Some((checksum, records)) => {
-                assert_eq!(
-                    (out.checksum, out.records),
-                    (checksum, records),
-                    "{}: {mode:?} disagrees with {:?}",
-                    bench.name(),
-                    MODES[0]
-                );
-            }
-        }
     }
 }
 
@@ -68,13 +81,13 @@ fn check(bench: &dyn Benchmark) {
 /// partition under every scheduler — partition-stable ownership is
 /// asserted against the scheduler, so a steal or a replay must never
 /// change which frames are pinned where — and the served answer must
-/// match both a cache-off chain and the other modes bit-for-bit.
+/// match both a cache-off chain and the MapReduce chain bit-for-bit.
 #[test]
 fn pagerank_chain_cache_agrees_across_schedulers() {
     use hamr_workloads::pagerank::PageRank;
-    let mut baseline: Option<(u64, u64)> = None;
+    let want = mapred_reference(&PageRank::default());
     for mode in MODES {
-        let env = Env::with_hamr_sched(SimParams::test(3, 2), mode);
+        let env = env_for(mode);
         // Pinned on, so an ambient HAMR_RESIDENT=off cannot hollow
         // out the serve assertion.
         env.hamr.resident().set_enabled(true);
@@ -96,15 +109,11 @@ fn pagerank_chain_cache_agrees_across_schedulers() {
             (recomputed.checksum, recomputed.records),
             "{mode:?}: resident serving changed the answer"
         );
-        match baseline {
-            None => baseline = Some((served.checksum, served.records)),
-            Some(want) => assert_eq!(
-                (served.checksum, served.records),
-                want,
-                "{mode:?} disagrees with {:?} in chain mode",
-                MODES[0]
-            ),
-        }
+        assert_eq!(
+            (served.checksum, served.records),
+            want,
+            "{mode:?} disagrees with mapred in chain mode"
+        );
     }
 }
 
@@ -128,16 +137,13 @@ fn skewed_workloads_agree_across_schedulers() {
 /// MapReduce reference — checksum identity across both engines.
 #[test]
 fn skewed_workloads_agree_across_schedulers_and_mitigations() {
-    use hamr_core::{RuntimeConfig, SkewConfig};
+    use hamr_core::SkewConfig;
     let combos = [
         ("off", SkewConfig::off()),
         ("combine", SkewConfig::default()),
     ];
     for bench in skewed_variants() {
-        let reference = Env::test(3, 2);
-        bench.seed(&reference).expect("seed");
-        let mr = bench.run_mapred(&reference).expect("mapred run");
-        let want = (mr.checksum, mr.records);
+        let want = mapred_reference(bench.as_ref());
         for mode in MODES {
             for (combo, skew) in &combos {
                 let runtime = RuntimeConfig {
