@@ -45,7 +45,7 @@
 //! additionally writes each profiled run's full causal report to
 //! `D/causal_{benchmark}_{engine}.json`; `--fail-on-overhead PCT`
 //! exits nonzero when any profiled run exceeds its untraced wall by
-//! more than PCT% (+50ms slack) — the CI sampler-overhead gate.
+//! more than PCT% (+50ms slack) — the CI tracer-overhead gate.
 //!
 //! `--audited` additionally runs every (benchmark, engine) pair once
 //! under the self-verification layer (`run_audited` semantics via the
@@ -814,8 +814,8 @@ fn benchmarks() -> Vec<(&'static str, Box<dyn Benchmark>)> {
 }
 
 /// One profiled run of `bench` on `engine`: fresh environment, ring
-/// sink, event tracing and telemetry sampling all on, attached through
-/// the clusters' ambient-profiler hook so the `Benchmark` trait stays
+/// sink and event tracing on, attached through the clusters'
+/// ambient-profiler hook so the `Benchmark` trait stays
 /// engine-agnostic. Returns the causal columns for the row; with
 /// `profile_dir` also writes the full causal report as JSON.
 fn profile_run(
@@ -829,9 +829,9 @@ fn profile_run(
     bench.seed(&env)?;
     let sink = Arc::new(RingSink::new(64, 1 << 18));
     let tracer = Tracer::new(sink.clone());
-    let telemetry = Telemetry::with_default_interval();
-    env.hamr.attach_profiler(tracer.clone(), telemetry.clone());
-    env.mr.attach_profiler(tracer, telemetry);
+    env.hamr
+        .attach_profiler(tracer.clone(), Telemetry::disabled());
+    env.mr.attach_profiler(tracer);
     let out = match engine {
         "mapred" => bench.run_mapred(&env),
         _ => bench.run_hamr(&env),
@@ -1269,7 +1269,7 @@ fn main() {
     }
 
     // One journal-enabled row: the durable flight journal's wall cost
-    // enters the same overhead gate as the sampler's.
+    // enters the same overhead gate as the tracer's.
     if let Some(dir) = &args.journal {
         match journal_run(&params, dir) {
             Ok((untraced, journaled)) => {
@@ -1286,10 +1286,10 @@ fn main() {
         }
     }
 
-    // Sampler-overhead gate: the profiled runs (tracer + 1ms telemetry
-    // sampler) must stay within the budget of their untraced
-    // counterparts. 50ms absolute slack absorbs scheduling noise on the
-    // sub-second --quick walls.
+    // Tracer-overhead gate: the profiled runs (the tracer alone; the
+    // registry gauges are live on both sides) must stay within the
+    // budget of their untraced counterparts. 50ms absolute slack
+    // absorbs scheduling noise on the sub-second --quick walls.
     if let Some(pct) = args.fail_on_overhead {
         let slack = 0.050;
         let mut failed = false;

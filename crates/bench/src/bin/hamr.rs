@@ -35,24 +35,23 @@
 //! the final state of a run killed mid-flight. `--diff` compares two
 //! journals job by job.
 //!
-//! Occupancy and queue columns come from telemetry gauges, which are
-//! live while the target run has telemetry attached (supervised runs,
-//! profiled runs, `benchjson`); counters (net bytes, job totals) are
-//! always live. `--demo` self-hosts the endpoint: it runs a skewed
-//! HistogramRatings workload in-process on 4 nodes and tops it, so
-//! the walkthrough in EXPERIMENTS.md is a single command.
+//! Every column comes from the cluster's metrics registry, whose
+//! gauges (occupancy, queue, deferred bins, window) and counters (net
+//! bytes, job totals) are live on every run. `--demo` self-hosts the
+//! endpoint: it runs a skewed HistogramRatings workload in-process on
+//! 4 nodes and tops it, so the walkthrough in EXPERIMENTS.md is a
+//! single command.
 //!
 //! Exit codes: 0 ok, 1 endpoint/scrape failure, 2 bad arguments.
 
 use hamr_trace::json::{self, Json};
-use hamr_trace::{http_get, parse_prometheus, PromSample, RingSink, Telemetry, Timeline, Tracer};
+use hamr_trace::{http_get, parse_prometheus, PromSample, Timeline};
 use hamr_workloads::histogram_ratings::HistogramRatings;
 use hamr_workloads::{Benchmark, Env, SimParams};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One node's slice of a `/metrics` scrape.
@@ -345,8 +344,7 @@ fn top_loop(addr: SocketAddr, engine: &str, interval: Duration, ticks: u64) -> R
 }
 
 /// Self-hosted demo: a skewed HistogramRatings workload looping on a
-/// 4-node cluster with telemetry attached, topped over its own
-/// endpoint.
+/// 4-node cluster, topped over its own endpoint.
 fn run_demo(interval: Duration, ticks: u64) -> Result<(), String> {
     let params = SimParams::test(4, 2).with_scale(1.0);
     let env = Env::new(params);
@@ -356,11 +354,6 @@ fn run_demo(interval: Duration, ticks: u64) -> Result<(), String> {
         max_ratings_per_movie: 100_000,
     };
     bench.seed(&env)?;
-    // Telemetry keeps the occupancy gauges live between scrapes; the
-    // small ring bounds trace memory across demo iterations.
-    let sink = Arc::new(RingSink::new(8, 1 << 14));
-    env.hamr
-        .attach_profiler(Tracer::new(sink), Telemetry::with_default_interval());
     let addr = env
         .hamr
         .serve_introspection(0)
@@ -384,7 +377,6 @@ fn run_demo(interval: Duration, ticks: u64) -> Result<(), String> {
             result
         })
     };
-    env.hamr.detach_profiler();
     env.hamr.stop_introspection();
     runner
 }

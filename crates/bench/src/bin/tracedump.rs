@@ -11,10 +11,6 @@
 //!   * `--causal`     — additionally run the causal profiler over each
 //!     run's events: wall-time attribution table, top stall edges, and
 //!     the critical path, plus `causal_*.json` reports.
-//!   * `--timeseries` — sample live telemetry (bin-queue depths, window
-//!     occupancy, in-flight fabric bytes, worker occupancy) during the
-//!     skewed run; writes `timeseries_hamr.csv` / `.prom` and embeds
-//!     counter tracks in `trace_hamr.json`.
 //!   * `--doctor <doctor_<job>.json>` — post-mortem mode: read a
 //!     flight-recorder dump written by a supervised run and print the
 //!     ranked diagnosis (stuck edge/node, custody ledger, gauge hot
@@ -28,10 +24,9 @@
 use hamr_core::{typed, Emitter, Exchange, JobBuilder, JobResult, RuntimeConfig};
 use hamr_mapred::{line_map_fn, reduce_fn, JobConf, ReduceOutput};
 use hamr_trace::{
-    analyze, chrome_trace_json, chrome_trace_json_with_counters, render_attribution,
-    render_critical_path, render_occupancy, render_stall_edges, render_summary, worker_occupancy,
-    EventKind, FlowletSummaryRow, LatencyHistogram, RingSink, TaskKind, Telemetry, TraceEvent,
-    Tracer,
+    analyze, chrome_trace_json, render_attribution, render_critical_path, render_occupancy,
+    render_stall_edges, render_summary, worker_occupancy, EventKind, FlowletSummaryRow,
+    LatencyHistogram, RingSink, TaskKind, TraceEvent, Tracer,
 };
 use hamr_workloads::gen::movies::parse_movie_line;
 use hamr_workloads::histogram_ratings::HistogramRatings;
@@ -63,7 +58,7 @@ fn run_hamr_wordcount(env: &Env, tracer: Tracer) -> JobResult {
         .expect("wordcount run")
 }
 
-fn run_hamr_histratings(env: &Env, tracer: Tracer, telemetry: Telemetry) -> JobResult {
+fn run_hamr_histratings(env: &Env, tracer: Tracer) -> JobResult {
     let mut job = JobBuilder::new("histogram-ratings");
     let loader = job.add_loader("TextLoader", typed::dfs_line_loader(HR_INPUT));
     let rating_map = job.add_map(
@@ -81,7 +76,7 @@ fn run_hamr_histratings(env: &Env, tracer: Tracer, telemetry: Telemetry) -> JobR
     job.connect(rating_map, sum, Exchange::Hash);
     job.capture_output(sum);
     env.hamr
-        .run_profiled(job.build().expect("histratings graph"), tracer, telemetry)
+        .run_traced(job.build().expect("histratings graph"), tracer)
         .expect("histratings run")
 }
 
@@ -247,7 +242,6 @@ fn main() {
         std::process::exit(run_doctor(path));
     }
     let causal = args.iter().any(|a| a == "--causal");
-    let timeseries = args.iter().any(|a| a == "--timeseries");
 
     // ---- HAMR engine -------------------------------------------------
     let sink = Arc::new(RingSink::new(64, 1 << 16));
@@ -282,12 +276,7 @@ fn main() {
     HistogramRatings::default()
         .seed(&env_skew)
         .expect("seed histratings");
-    let telemetry = if timeseries {
-        Telemetry::with_default_interval()
-    } else {
-        Telemetry::disabled()
-    };
-    let hr = run_hamr_histratings(&env_skew, tracer.clone(), telemetry.clone());
+    let hr = run_hamr_histratings(&env_skew, tracer.clone());
     println!("== HAMR histogram-ratings (skewed, window=1) ==");
     println!("{}", render_summary(&hr.metrics.summary_rows()));
     let events_hr = sink.drain();
@@ -314,28 +303,7 @@ fn main() {
             .filter(|e| matches!(e.kind, EventKind::TaskStolen { .. }))
             .count()
     );
-    if timeseries {
-        let series = telemetry.series();
-        std::fs::write("timeseries_hamr.csv", series.to_csv()).expect("write timeseries csv");
-        std::fs::write("timeseries_hamr.prom", series.to_prometheus())
-            .expect("write timeseries prom");
-        println!(
-            "sampled {} telemetry points across {} gauges; wrote timeseries_hamr.csv / .prom",
-            series.samples.len(),
-            series.names.len()
-        );
-        // Counter tracks ride along in the chrome export. Their clock is
-        // the skewed run's telemetry epoch, so they cluster at the tail
-        // of the combined timeline.
-        std::fs::write(
-            "trace_hamr.json",
-            chrome_trace_json_with_counters(&events, &series),
-        )
-        .expect("write trace_hamr.json");
-    } else {
-        std::fs::write("trace_hamr.json", chrome_trace_json(&events))
-            .expect("write trace_hamr.json");
-    }
+    std::fs::write("trace_hamr.json", chrome_trace_json(&events)).expect("write trace_hamr.json");
     println!("wrote trace_hamr.json\n");
 
     // ---- MapReduce baseline ------------------------------------------

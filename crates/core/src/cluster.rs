@@ -23,9 +23,9 @@ use hamr_kvstore::KvStore;
 use hamr_simdisk::Disk;
 use hamr_simnet::{Fabric, NetRegistry};
 use hamr_trace::{
-    AlertEvent, AlertRule, AlertState, Audit, AuditReport, FlightRecord, GaugeValue, Journal,
-    JournalConfig, JournalRecord, Labels, MetricsRegistry, RecordedEvent, RingSink, StatsPlane,
-    Telemetry, Tracer, WatchdogClass, WatchdogTrip,
+    AlertEvent, AlertRule, AlertState, Audit, AuditReport, FlightRecord, Journal, JournalConfig,
+    JournalRecord, Labels, MetricsRegistry, RecordedEvent, RingSink, StatsPlane, Telemetry, Tracer,
+    WatchdogClass, WatchdogTrip,
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -105,6 +105,22 @@ fn file_slug(name: &str) -> String {
     }
 }
 
+/// The `engine="hamr"` node gauges that describe one run. Each series
+/// outlives the run that registered it, so a run aborted mid-flight
+/// leaves its last values behind; the next run on an idle cluster
+/// zeroes them (`stall_us_total` thereby counts one run's stalls).
+/// `workers` and `disk_used_bytes` are set at registration, and the
+/// fabric keeps `net_inflight_bytes` balanced itself.
+const RUN_GAUGES: &[&str] = &[
+    "workers_busy",
+    "queue_depth",
+    "pending_bin_bytes",
+    "reduce_resident_bytes",
+    "deferred_bins",
+    "window_inflight",
+    "stall_us_total",
+];
+
 /// A simulated HAMR cluster: N node runtimes over shared substrates.
 pub struct Cluster {
     config: ClusterConfig,
@@ -112,11 +128,11 @@ pub struct Cluster {
     dfs: Dfs,
     kv: KvStore,
     /// Ambient profiler: when set, plain [`run`](Cluster::run) calls
-    /// behave as [`run_profiled`](Cluster::run_profiled) with these
-    /// sinks. Lets harnesses profile code paths that only hand them a
+    /// behave as [`run_traced`](Cluster::run_traced) with this tracer.
+    /// Lets harnesses profile code paths that only hand them a
     /// `&Cluster` (the `Benchmark` trait) without threading a tracer
     /// through every workload signature.
-    profiler: Mutex<Option<(Tracer, Telemetry)>>,
+    profiler: Mutex<Option<Tracer>>,
     /// Ambient supervisor: when set, plain [`run`](Cluster::run) calls
     /// behave as [`run_supervised`](Cluster::run_supervised), recording
     /// the audit report and watchdog events for inspection via
@@ -221,10 +237,10 @@ impl Cluster {
     }
 
     /// The cluster's unified metrics registry. Every run publishes
-    /// into it: net/disk counters live on the hot path, telemetry
-    /// gauges bridged while a job runs, job totals at completion, and
-    /// one epoch snapshot per job so iterative workloads get
-    /// per-iteration deltas via [`MetricsRegistry::epoch_deltas`].
+    /// into it: net/disk counters and node gauges live on the hot
+    /// path, job totals at completion, and one epoch snapshot per job
+    /// so iterative workloads get per-iteration deltas via
+    /// [`MetricsRegistry::epoch_deltas`].
     pub fn registry(&self) -> &MetricsRegistry {
         &self.introspect.registry
     }
@@ -340,19 +356,19 @@ impl Cluster {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .clone();
-        match ambient {
-            Some((tracer, telemetry)) => self.run_profiled(graph, tracer, telemetry),
-            None => self.run_traced(graph, Tracer::disabled()),
-        }
+        self.run_traced(graph, ambient.unwrap_or_else(Tracer::disabled))
     }
 
     /// Attach an ambient profiler: until
     /// [`detach_profiler`](Cluster::detach_profiler), every plain
-    /// [`run`](Cluster::run) emits trace events through `tracer` and
-    /// samples gauges through `telemetry`, exactly as if the caller had
-    /// used [`run_profiled`](Cluster::run_profiled) directly.
-    pub fn attach_profiler(&self, tracer: Tracer, telemetry: Telemetry) {
-        *self.profiler.lock().unwrap_or_else(|p| p.into_inner()) = Some((tracer, telemetry));
+    /// [`run`](Cluster::run) emits trace events through `tracer`,
+    /// exactly as if the caller had used
+    /// [`run_traced`](Cluster::run_traced) directly. The [`Telemetry`]
+    /// argument is inert (gauges are live in the registry on every
+    /// run); it remains only for the benchmark's call, and goes when a
+    /// later benchmark change drops it.
+    pub fn attach_profiler(&self, tracer: Tracer, _telemetry: Telemetry) {
+        *self.profiler.lock().unwrap_or_else(|p| p.into_inner()) = Some(tracer);
     }
 
     /// Remove the ambient profiler; subsequent [`run`](Cluster::run)
@@ -412,28 +428,23 @@ impl Cluster {
         let n = self.config.nodes;
         let job_name = graph.name.clone();
         let audit = Audit::new(graph.edges.len() as u32, n as u32);
-        // Reuse ambient profiler sinks when attached; otherwise record
-        // the last-K events into a bounded ring (the flight recorder)
-        // and let the watchdog drive a private telemetry clock.
+        // Reuse the ambient profiler's tracer when attached; otherwise
+        // record the last-K events into a bounded ring (the flight
+        // recorder).
         let ambient = self
             .profiler
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .clone();
-        let own_sinks = ambient.is_none();
         let mut ring = None;
-        let (tracer, telemetry) = match ambient {
-            Some((tracer, telemetry)) => (tracer, telemetry),
-            None => {
-                let tracer = if sup.flight_events > 0 {
-                    let sink = Arc::new(RingSink::new(n.max(1), sup.flight_events));
-                    ring = Some(Arc::clone(&sink));
-                    Tracer::new(sink)
-                } else {
-                    Tracer::disabled()
-                };
-                (tracer, Telemetry::new(sup.watchdog.epoch))
+        let tracer = match ambient {
+            Some(tracer) => tracer,
+            None if sup.flight_events > 0 => {
+                let sink = Arc::new(RingSink::new(n.max(1), sup.flight_events));
+                ring = Some(Arc::clone(&sink));
+                Tracer::new(sink)
             }
+            None => Tracer::disabled(),
         };
         // Overflowed flight-ring drops are visible in `/metrics` while
         // the run is still going, not only in the post-mortem dump.
@@ -444,17 +455,9 @@ impl Cluster {
                     .counter("trace_dropped_events_total", Labels::new().engine("hamr")),
             );
         }
-        let watchdog =
-            (sup.watchdog.action != WatchdogAction::Off).then(|| (sup.watchdog.clone(), own_sinks));
-        let (result, events, trip) = self.run_inner(
-            graph,
-            tracer,
-            telemetry.clone(),
-            audit.clone(),
-            !own_sinks,
-            watchdog,
-            ring.clone(),
-        );
+        let watchdog = (sup.watchdog.action != WatchdogAction::Off).then(|| sup.watchdog.clone());
+        let (result, events, trip) =
+            self.run_inner(graph, tracer, audit.clone(), watchdog, ring.clone());
         let report = audit.report();
         *self.last_audit.lock().unwrap_or_else(|p| p.into_inner()) = Some(report.clone());
         *self.wd_events.lock().unwrap_or_else(|p| p.into_inner()) = events;
@@ -475,11 +478,7 @@ impl Cluster {
                     sup.keep_last,
                     dropped_events,
                     report.clone(),
-                    telemetry
-                        .gauge_values()
-                        .into_iter()
-                        .map(|(name, node, value)| GaugeValue { name, node, value })
-                        .collect(),
+                    self.introspect.registry.snapshot().engine_gauges("hamr"),
                 );
                 let path = dir.join(format!("doctor_{}.json", file_slug(&job_name)));
                 let _ = std::fs::write(&path, record.to_json());
@@ -507,47 +506,20 @@ impl Cluster {
     ///
     /// [`run`]: Cluster::run
     pub fn run_traced(&self, graph: JobGraph, tracer: Tracer) -> Result<JobResult, RunError> {
-        self.run_profiled(graph, tracer, Telemetry::disabled())
+        self.run_inner(graph, tracer, Audit::disabled(), None, None)
+            .0
     }
 
-    /// Run one job with both event tracing and periodic telemetry
-    /// sampling. The sampler thread starts only when `telemetry` is
-    /// enabled, runs for the duration of the job, and is stopped (with
-    /// one final sample) before this returns.
-    pub fn run_profiled(
-        &self,
-        graph: JobGraph,
-        tracer: Tracer,
-        telemetry: Telemetry,
-    ) -> Result<JobResult, RunError> {
-        self.run_inner(
-            graph,
-            tracer,
-            telemetry,
-            Audit::disabled(),
-            true,
-            None,
-            None,
-        )
-        .0
-    }
-
-    /// The shared run body. `start_sampler` starts/stops the telemetry
-    /// sampler thread around the job (supervised runs that own their
-    /// telemetry skip it — the watchdog drives `tick_at` instead).
-    /// `watchdog` is `(config, drive_ticks)` for supervised runs.
+    /// The shared run body. `watchdog` is set for supervised runs.
     /// `ring` is the flight-recorder sink, exposed to the live
     /// `/doctor` endpoint for the duration of the run.
     /// Returns the raw result plus everything the watchdog classified.
-    #[allow(clippy::too_many_arguments)]
     fn run_inner(
         &self,
         graph: JobGraph,
         tracer: Tracer,
-        telemetry: Telemetry,
         audit: Audit,
-        start_sampler: bool,
-        watchdog: Option<(WatchdogConfig, bool)>,
+        watchdog: Option<WatchdogConfig>,
         ring: Option<Arc<RingSink>>,
     ) -> (
         Result<JobResult, RunError>,
@@ -568,14 +540,19 @@ impl Cluster {
                 job: graph.name.clone(),
                 engine: "hamr",
                 ring: ring.clone(),
-                telemetry: Some(telemetry.clone()),
                 audit: Some(audit.clone()),
             };
         }
-        health
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .running_jobs += 1;
+        {
+            let mut h = health.lock().unwrap_or_else(|p| p.into_inner());
+            // The first run on an idle cluster clears what an aborted
+            // run left in the shared gauge series; a run that starts
+            // while others are live must not wipe their occupancy.
+            if h.running_jobs == 0 {
+                registry.zero_gauges("hamr", RUN_GAUGES);
+            }
+            h.running_jobs += 1;
+        }
         // Durable journal: mark the job boundary, and tap the flight
         // ring so events about to be overwritten are persisted instead
         // of lost — the journal keeps history the bounded ring cannot.
@@ -593,14 +570,10 @@ impl Cluster {
                 })));
             }
         }
-        // Live gauge series: every telemetry gauge this run registers
-        // also shows up in /metrics, sharing the same atomic cells.
-        telemetry.bind_registry(registry, "hamr");
         let fabric = Fabric::<NetMsg>::new_instrumented(
             n,
             self.config.net.clone(),
             tracer.clone(),
-            &telemetry,
             audit.clone(),
             Some(NetRegistry::new(registry, "hamr", n)),
         );
@@ -616,14 +589,9 @@ impl Cluster {
                 disk.attach_tracer(tracer.clone(), node as u32);
             }
         }
-        if telemetry.enabled() {
-            for (node, disk) in self.disks.iter().enumerate() {
-                disk.attach_gauge(&telemetry, node as u32);
-            }
-        }
         // Supervision: the watchdog aborts a wedged job by broadcasting
         // through a spare endpoint (control traffic, not audited).
-        let watchdog = watchdog.map(|(cfg, drive_ticks)| {
+        let watchdog = watchdog.map(|cfg| {
             let abort_ep = fabric.endpoint(0).expect("fresh fabric has node 0");
             let abort = Box::new(move |event: &WatchdogEvent| {
                 let reason = Arc::new(format!(
@@ -682,10 +650,9 @@ impl Cluster {
             Watchdog::spawn(
                 cfg,
                 audit.clone(),
-                telemetry.clone(),
+                registry.clone(),
                 tracer.clone(),
                 n,
-                drive_ticks,
                 on_epoch,
                 notify,
                 abort,
@@ -741,7 +708,7 @@ impl Cluster {
             let cfg = self.config.runtime.clone();
             let threads = self.config.threads_per_node;
             let tracer = tracer.clone();
-            let telemetry = telemetry.clone();
+            let registry = registry.clone();
             let audit = audit.clone();
             let ctx = TaskContext {
                 node,
@@ -758,18 +725,12 @@ impl Cluster {
                 .name(format!("hamr-node-{node}"))
                 .spawn(move || {
                     run_node(
-                        node, graph, cfg, threads, ctx, endpoint, inbox, tracer, telemetry, audit,
+                        node, graph, cfg, threads, ctx, endpoint, inbox, tracer, registry, audit,
                         skew, plan, stats,
                     )
                 })
                 .expect("spawn node runtime");
             handles.push(handle);
-        }
-        // Start the sampler (no-op when telemetry is disabled). Node
-        // runtimes may still be registering gauges on their own threads;
-        // late registrations are back-filled with zeros in the series.
-        if start_sampler {
-            telemetry.start();
         }
         let mut outputs: HashMap<FlowletId, Vec<Record>> = HashMap::new();
         let mut metrics = JobMetrics::default();
@@ -897,18 +858,10 @@ impl Cluster {
                 .unwrap_or_else(|p| p.into_inner()) = Some(snap.clone());
             metrics.stats = Some(snap);
         }
-        if start_sampler {
-            telemetry.stop();
-        }
         fabric.shutdown();
         if tracer.enabled() {
             for disk in &self.disks {
                 disk.detach_tracer();
-            }
-        }
-        if telemetry.enabled() {
-            for disk in &self.disks {
-                disk.detach_gauge();
             }
         }
         for disk in &self.disks {

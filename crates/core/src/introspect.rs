@@ -2,8 +2,8 @@
 //! registry plus the embedded HTTP endpoint that serves it.
 //!
 //! Every [`Cluster`](crate::Cluster) owns one [`Introspect`]. Runs
-//! publish into its [`MetricsRegistry`] (net/disk counters live, job
-//! metrics at completion, telemetry gauges bridged while a job runs)
+//! publish into its [`MetricsRegistry`] (net/disk counters and node
+//! gauges live on every run, job metrics at completion)
 //! and, when enabled, a loopback [`HttpServer`] exposes three routes:
 //!
 //! * `/metrics` — every registered series in Prometheus text format,
@@ -21,9 +21,8 @@
 //! `HAMR_HTTP=<port>`, or [`Cluster::serve_introspection`].
 
 use hamr_trace::{
-    AlertEngine, AlertEvent, AlertRule, AlertState, Audit, FlightRecord, GaugeValue, HttpResponse,
-    HttpServer, Journal, JournalRecord, MetricsRegistry, RingSink, RouteHandler, Snapshot,
-    StatsSnapshot, Telemetry,
+    AlertEngine, AlertEvent, AlertRule, AlertState, Audit, FlightRecord, HttpResponse, HttpServer,
+    Journal, JournalRecord, MetricsRegistry, RingSink, RouteHandler, Snapshot, StatsSnapshot,
 };
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
@@ -239,14 +238,13 @@ impl AlertCenter {
     }
 }
 
-/// What `/doctor` reads: handles into the most recent (possibly still
-/// running) supervised or profiled run.
+/// What `/doctor` reads besides the registry's gauges: handles into
+/// the most recent (possibly still running) run.
 #[derive(Default)]
 pub(crate) struct LiveRun {
     pub job: String,
     pub engine: &'static str,
     pub ring: Option<Arc<RingSink>>,
-    pub telemetry: Option<Telemetry>,
     pub audit: Option<Audit>,
 }
 
@@ -371,23 +369,15 @@ impl Introspect {
                     .as_ref()
                     .map(|a| a.report())
                     .unwrap_or_else(|| Audit::disabled().report());
-                let gauges = live
-                    .telemetry
-                    .as_ref()
-                    .map(|t| {
-                        t.gauge_values()
-                            .into_iter()
-                            .map(|(name, node, value)| GaugeValue { name, node, value })
-                            .collect()
-                    })
-                    .unwrap_or_default();
+                let engine = if live.engine.is_empty() {
+                    "hamr"
+                } else {
+                    live.engine
+                };
+                let gauges = registry.snapshot().engine_gauges(engine);
                 let record = FlightRecord::capture(
                     live.job.clone(),
-                    if live.engine.is_empty() {
-                        "hamr"
-                    } else {
-                        live.engine
-                    },
+                    engine,
                     None,
                     None,
                     &events,

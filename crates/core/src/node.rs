@@ -57,8 +57,8 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use hamr_simnet::{Endpoint, Envelope, Payload};
 use hamr_trace::{
-    Audit, AuditBin, AuditStage, EventKind, Gauge, StatsPlane, TaskKind, Telemetry, Tracer,
-    NO_SPAN, WORKER_RUNTIME,
+    Audit, AuditBin, AuditStage, EventKind, Gauge, Labels, MetricsRegistry, StatsPlane, TaskKind,
+    Tracer, NO_SPAN, WORKER_RUNTIME,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -223,7 +223,7 @@ struct WorkerShared {
     skew: Arc<SkewRuntime>,
     tracer: Tracer,
     audit: Audit,
-    /// Telemetry gauge: workers currently executing a task on this node.
+    /// Registry gauge: workers currently executing a task on this node.
     busy_gauge: Gauge,
     /// Resident-cache fill sink; `Some` only when this job fills one or
     /// more cache tags (see [`CachePlan`]).
@@ -584,14 +584,14 @@ pub(crate) fn run_node(
     endpoint: Endpoint<NetMsg>,
     inbox: Receiver<Envelope<NetMsg>>,
     tracer: Tracer,
-    telemetry: Telemetry,
+    registry: MetricsRegistry,
     audit: Audit,
     skew: Arc<SkewRuntime>,
     plan: Arc<CachePlan>,
     stats: Option<Arc<StatsPlane>>,
 ) -> NodeOutcome {
     NodeRuntime::new(
-        node, graph, cfg, threads, ctx, endpoint, inbox, tracer, telemetry, audit, skew, plan,
+        node, graph, cfg, threads, ctx, endpoint, inbox, tracer, &registry, audit, skew, plan,
         stats,
     )
     .run()
@@ -636,9 +636,9 @@ struct NodeRuntime {
     start: Instant,
     error: Option<String>,
     tracer: Tracer,
-    /// Telemetry gauges: per-flowlet bin-queue depth, indexed by flowlet.
+    /// Registry gauges: per-flowlet bin-queue depth, indexed by flowlet.
     queue_gauges: Vec<Gauge>,
-    /// Telemetry gauge: bytes resident in queued (pending + held) bins.
+    /// Registry gauge: bytes resident in queued (pending + held) bins.
     pending_bytes_gauge: Gauge,
     /// Resident-cache plan for this job: which flowlets serve from the
     /// store and which edges fill it.
@@ -656,13 +656,14 @@ impl NodeRuntime {
         endpoint: Endpoint<NetMsg>,
         inbox: Receiver<Envelope<NetMsg>>,
         tracer: Tracer,
-        telemetry: Telemetry,
+        registry: &MetricsRegistry,
         audit: Audit,
         skew: Arc<SkewRuntime>,
         plan: Arc<CachePlan>,
         stats: Option<Arc<StatsPlane>>,
     ) -> Self {
         let nodes = ctx.nodes;
+        let labels = || Labels::new().engine("hamr").node(node as u32);
         let fire_shards = if cfg.fire_shards == 0 {
             threads
         } else {
@@ -687,19 +688,14 @@ impl NodeRuntime {
                     tracer.clone(),
                     node as u32,
                     id as u32,
-                    telemetry.register(
-                        node as u32,
-                        format!("node{node}/f{id}/reduce_resident_bytes"),
-                    ),
+                    registry.gauge("reduce_resident_bytes", labels().flowlet(id as u32)),
                 ))),
                 _ => None,
             }));
         }
         // A constant gauge alongside workers_busy, so occupancy
         // (busy/workers) is computable from a single /metrics scrape.
-        telemetry
-            .register(node as u32, format!("node{node}/workers"))
-            .set(threads as i64);
+        registry.gauge("workers", labels()).set(threads as i64);
         let fill =
             (!plan.fill.is_empty()).then(|| Arc::new(FillSink::new(plan.fill_edges.clone())));
         let shared = Arc::new(WorkerShared {
@@ -710,7 +706,7 @@ impl NodeRuntime {
             reduce,
             tracer: tracer.clone(),
             audit: audit.clone(),
-            busy_gauge: telemetry.register(node as u32, format!("node{node}/workers_busy")),
+            busy_gauge: registry.gauge("workers_busy", labels()),
             skew,
             fill,
             stats,
@@ -724,13 +720,12 @@ impl NodeRuntime {
             endpoint.clone(),
             tracer.clone(),
             audit,
-            &telemetry,
+            registry,
         ));
         let queue_gauges = (0..graph.flowlets.len())
-            .map(|f| telemetry.register(node as u32, format!("node{node}/f{f}/queue_depth")))
+            .map(|f| registry.gauge("queue_depth", labels().flowlet(f as u32)))
             .collect();
-        let pending_bytes_gauge =
-            telemetry.register(node as u32, format!("node{node}/pending_bin_bytes"));
+        let pending_bytes_gauge = registry.gauge("pending_bin_bytes", labels());
         let (done_tx, done_rx) = unbounded::<TaskDone>();
         let exec = match cfg.sched {
             SchedMode::WorkStealing => {

@@ -24,7 +24,9 @@ use crate::NodeId;
 use bytes::Bytes;
 use hamr_codec::{stable_hash, FrameBuilder};
 use hamr_simnet::Endpoint;
-use hamr_trace::{Audit, AuditStage, EventKind, Gauge, StatsPlane, Telemetry, Tracer};
+use hamr_trace::{
+    Audit, AuditStage, EventKind, Gauge, Labels, MetricsRegistry, StatsPlane, Tracer,
+};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -82,12 +84,13 @@ pub(crate) struct FlowControl {
     /// Cached queue length so the hot no-backlog path skips the lock.
     total_deferred: AtomicUsize,
     per_flowlet: Vec<FlowletFlow>,
-    /// Telemetry: bins parked in the deferred queue.
+    /// Registry gauge: bins parked in the deferred queue.
     deferred_gauge: Gauge,
-    /// Telemetry: total occupied window slots (unacked bins in flight).
+    /// Registry gauge: total occupied window slots (unacked bins in
+    /// flight).
     window_gauge: Gauge,
-    /// Telemetry: cumulative microseconds bins spent parked behind
-    /// full flow-control windows — the live stall-share signal
+    /// Registry gauge: cumulative microseconds bins spent parked
+    /// behind full flow-control windows — the live stall-share signal
     /// `hamr top` divides by wall-clock.
     stall_gauge: Gauge,
 }
@@ -103,8 +106,10 @@ impl FlowControl {
         endpoint: Endpoint<NetMsg>,
         tracer: Tracer,
         audit: Audit,
-        telemetry: &Telemetry,
+        registry: &MetricsRegistry,
     ) -> Self {
+        let gauge =
+            |name: &str| registry.gauge(name, Labels::new().engine("hamr").node(node as u32));
         FlowControl {
             nodes,
             node,
@@ -123,9 +128,9 @@ impl FlowControl {
                     stall_us: AtomicU64::new(0),
                 })
                 .collect(),
-            deferred_gauge: telemetry.register(node as u32, format!("node{node}/deferred_bins")),
-            window_gauge: telemetry.register(node as u32, format!("node{node}/window_inflight")),
-            stall_gauge: telemetry.register(node as u32, format!("node{node}/stall_us_total")),
+            deferred_gauge: gauge("deferred_bins"),
+            window_gauge: gauge("window_inflight"),
+            stall_gauge: gauge("stall_us_total"),
         }
     }
 

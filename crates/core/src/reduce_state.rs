@@ -63,7 +63,7 @@ pub(crate) struct ReduceState {
     tracer: Tracer,
     node: u32,
     flowlet: u32,
-    /// Telemetry gauge mirroring bytes resident across all in-memory
+    /// Registry gauge mirroring bytes resident across all in-memory
     /// shards (spilled bytes leave the gauge when the shard drains).
     resident_gauge: Gauge,
 }
@@ -106,8 +106,16 @@ impl ReduceState {
     /// if it crosses its budget slice. Keys and values are zero-copy
     /// sub-views of the bin's frame; sub-shard selection reuses the
     /// in-frame hash. `worker` labels any spill this triggers in the
-    /// trace.
+    /// trace. The node's workers share the resident-bytes gauge, so
+    /// the bin's net change lands in one update.
     pub(crate) fn ingest(&self, worker: usize, bin: &FrameBin) -> Result<(), DiskError> {
+        let mut delta = 0i64;
+        let result = self.fold_bin(worker, bin, &mut delta);
+        self.resident_gauge.add(delta);
+        result
+    }
+
+    fn fold_bin(&self, worker: usize, bin: &FrameBin, delta: &mut i64) -> Result<(), DiskError> {
         let per_shard_budget = (self.budget / self.shards.len()).max(1);
         for (hash, key, value) in bin.frame.iter_shared() {
             let s = sub_shard(hash, self.shards.len());
@@ -125,14 +133,17 @@ impl ReduceState {
                 }
             };
             shard.bytes += added;
-            self.resident_gauge.add(added as i64);
+            *delta += added as i64;
             if shard.bytes > per_shard_budget {
+                *delta -= shard.bytes as i64;
                 self.spill_locked(worker, &mut shard)?;
             }
         }
         Ok(())
     }
 
+    /// Spill the shard's groups to disk; its resident bytes drop to
+    /// zero.
     fn spill_locked(&self, worker: usize, shard: &mut ReduceShard) -> Result<(), DiskError> {
         let mut entries = Vec::new();
         for (key, values) in shard.groups.drain() {
@@ -140,7 +151,6 @@ impl ReduceState {
                 entries.push((key.clone(), v));
             }
         }
-        self.resident_gauge.sub(shard.bytes as i64);
         shard.bytes = 0;
         if entries.is_empty() {
             return Ok(());
@@ -178,7 +188,7 @@ impl ReduceState {
     pub(crate) fn into_fire_shards(self) -> Result<Vec<FireShard>, DiskError> {
         let disk = self.disk;
         // The grouped state hands its bytes to the fire iterators;
-        // from telemetry's perspective it no longer holds them.
+        // from the gauge's perspective it no longer holds them.
         self.resident_gauge.set(0);
         self.shards
             .into_iter()
@@ -447,6 +457,39 @@ mod tests {
         assert_eq!(groups.len(), 10);
         let total: usize = groups.iter().map(|(_, vs)| vs.len()).sum();
         assert_eq!(total, 50);
+    }
+
+    #[test]
+    fn resident_gauge_tracks_shard_bytes_per_bin() {
+        // Budget 128 over 2 shards: some multi-record bins spill
+        // mid-frame, others do not; the gauge must match either way.
+        let gauge = hamr_trace::MetricsRegistry::new()
+            .gauge("reduce_resident_bytes", hamr_trace::Labels::new());
+        let st = ReduceState::new(
+            2,
+            128,
+            Disk::new(DiskConfig::instant()),
+            "t".into(),
+            Tracer::disabled(),
+            0,
+            0,
+            gauge.clone(),
+        );
+        for i in 0..20u64 {
+            let pairs: Vec<(String, String)> = (0..4)
+                .map(|j| (format!("key{}", (i + j) % 6), format!("v{i}.{j}")))
+                .collect();
+            let refs: Vec<(&[u8], &[u8])> = pairs
+                .iter()
+                .map(|(k, v)| (k.as_bytes(), v.as_bytes()))
+                .collect();
+            st.ingest(0, &bin(&refs)).unwrap();
+            let resident: usize = st.shards.iter().map(|m| m.lock().bytes).sum();
+            assert_eq!(gauge.get(), resident as i64, "after bin {i}");
+        }
+        assert!(st.spilled_bytes() > 0, "expected spills");
+        st.into_fire_shards().unwrap();
+        assert_eq!(gauge.get(), 0);
     }
 
     #[test]

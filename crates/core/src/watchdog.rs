@@ -1,5 +1,5 @@
 //! The run-health watchdog: an epoch thread that watches the audit
-//! ledger and telemetry gauges for signs that a job has stopped making
+//! ledger and the registry's live gauges for signs that a job has stopped making
 //! progress, classifies *why*, and (optionally) aborts the job with a
 //! diagnosis instead of letting it hang forever.
 //!
@@ -21,7 +21,9 @@
 //! [`EpochSnapshot`]s so the classification rules are unit-testable
 //! without threads, clocks, or a cluster.
 
-use hamr_trace::{Audit, AuditStage, EventKind, Telemetry, Tracer, WatchdogClass, WORKER_RUNTIME};
+use hamr_trace::{
+    Audit, AuditStage, EventKind, MetricsRegistry, Tracer, WatchdogClass, WORKER_RUNTIME,
+};
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -113,7 +115,7 @@ pub(crate) struct EpochSnapshot {
 }
 
 impl EpochSnapshot {
-    fn capture(audit: &Audit, telemetry: &Telemetry, nodes: usize) -> Self {
+    fn capture(audit: &Audit, registry: &MetricsRegistry, nodes: usize) -> Self {
         let mut snap = EpochSnapshot {
             delivered: audit.stage_bins(AuditStage::Deliver),
             consumed: audit.stage_bins(AuditStage::Consume),
@@ -121,16 +123,17 @@ impl EpochSnapshot {
             queued_by_node: vec![0; nodes],
             ..Default::default()
         };
-        for (name, node, value) in telemetry.gauge_values() {
-            if name.ends_with("/deferred_bins") {
-                snap.deferred += value;
-            } else if name.ends_with("/workers_busy") {
-                snap.busy += value;
-            } else if name.ends_with("/queue_depth") {
-                snap.queued += value;
-                if (node as usize) < nodes {
-                    snap.queued_by_node[node as usize] += value;
+        for g in registry.snapshot().engine_gauges("hamr") {
+            match g.metric() {
+                "deferred_bins" => snap.deferred += g.value,
+                "workers_busy" => snap.busy += g.value,
+                "queue_depth" => {
+                    snap.queued += g.value;
+                    if let Some(q) = snap.queued_by_node.get_mut(g.node as usize) {
+                        *q += g.value;
+                    }
                 }
+                _ => {}
             }
         }
         snap
@@ -286,10 +289,7 @@ pub(crate) struct Watchdog {
 }
 
 impl Watchdog {
-    /// Start monitoring. When `drive_ticks` is set the watchdog also
-    /// advances `telemetry`'s deterministic clock (`tick_at`) once per
-    /// epoch — used when the supervised run owns the telemetry and no
-    /// sampler thread is running. `on_epoch` (when set) fires once per
+    /// Start monitoring. `on_epoch` (when set) fires once per
     /// monitoring epoch before classification — the cluster hangs
     /// alert-rule evaluation off it. `notify` fires on *every*
     /// classified incident (the cluster posts it into `/healthz`
@@ -299,10 +299,9 @@ impl Watchdog {
     pub(crate) fn spawn(
         cfg: WatchdogConfig,
         audit: Audit,
-        telemetry: Telemetry,
+        registry: MetricsRegistry,
         tracer: Tracer,
         nodes: usize,
-        drive_ticks: bool,
         on_epoch: Option<Box<dyn Fn(u64) + Send>>,
         notify: Box<dyn Fn(&WatchdogEvent) + Send>,
         abort: Box<dyn Fn(&WatchdogEvent) + Send>,
@@ -321,10 +320,9 @@ impl Watchdog {
                     thread_shared,
                     cfg,
                     audit,
-                    telemetry,
+                    registry,
                     tracer,
                     nodes,
-                    drive_ticks,
                     on_epoch,
                     notify,
                     abort,
@@ -359,15 +357,13 @@ fn run_watchdog(
     shared: Arc<WdShared>,
     cfg: WatchdogConfig,
     audit: Audit,
-    telemetry: Telemetry,
+    registry: MetricsRegistry,
     tracer: Tracer,
     nodes: usize,
-    drive_ticks: bool,
     on_epoch: Option<Box<dyn Fn(u64) + Send>>,
     notify: Box<dyn Fn(&WatchdogEvent) + Send>,
     abort: Box<dyn Fn(&WatchdogEvent) + Send>,
 ) {
-    let epoch_us = cfg.epoch.as_micros() as u64;
     let abort_on_trip = cfg.action == WatchdogAction::Abort;
     let mut monitor = Monitor::new(cfg.clone());
     let mut epoch_idx: u64 = 0;
@@ -383,13 +379,10 @@ fn run_watchdog(
             }
         }
         epoch_idx += 1;
-        if drive_ticks {
-            telemetry.tick_at(epoch_idx * epoch_us);
-        }
         if let Some(on_epoch) = &on_epoch {
             on_epoch(epoch_idx);
         }
-        let snap = EpochSnapshot::capture(&audit, &telemetry, nodes);
+        let snap = EpochSnapshot::capture(&audit, &registry, nodes);
         if let Some(mut event) = monitor.observe(snap) {
             // Localize the diagnosis: the widest emit->consume gap in
             // the ledger names the stuck edge and destination.

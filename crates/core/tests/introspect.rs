@@ -1,9 +1,10 @@
 //! Integration test: the embedded introspection endpoint stays
 //! scrapeable while a supervised job runs, and the scrape is valid
-//! Prometheus text carrying the engine's series.
+//! Prometheus text carrying the engine's series — node gauges
+//! included, on plain runs as much as supervised ones.
 
 use hamr_core::{typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, Supervision};
-use hamr_trace::{http_get, parse_prometheus};
+use hamr_trace::{http_get, parse_prometheus, AlertRule};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -83,7 +84,7 @@ fn metrics_endpoint_live_during_supervised_run() {
     );
     assert!(
         samples.iter().any(|s| s.name == "hamr_workers"),
-        "telemetry gauges bridged"
+        "node gauges live"
     );
 
     // One epoch snapshot per job; deltas attribute work per job.
@@ -101,4 +102,45 @@ fn metrics_endpoint_live_during_supervised_run() {
     assert!(body.contains("wc-live-1"), "{body}");
     cluster.stop_introspection();
     assert_eq!(cluster.introspection_addr(), None);
+}
+
+#[test]
+fn node_gauges_are_live_on_a_plain_run() {
+    // No supervisor, no profiler: the gauges still exist and the
+    // default-style queue-depth alert has a series to watch.
+    let cluster = Cluster::new(ClusterConfig::local(2, 2));
+    cluster.alert_rules(vec![AlertRule::gauge_high_water(
+        "queue-depth-any",
+        "queue_depth",
+        0,
+        1,
+    )]);
+    let addr = cluster.serve_introspection(0).expect("bind ephemeral");
+    cluster
+        .run(wordcount_job("wc-plain", 2_000))
+        .expect("plain run");
+
+    let (status, body) = http_get(addr, "/metrics", Duration::from_secs(2)).expect("GET");
+    assert_eq!(status, 200);
+    let samples = parse_prometheus(&body).expect("valid Prometheus text");
+    let hamr = |name: &str| {
+        samples
+            .iter()
+            .filter(|s| s.name == name && s.label("engine") == Some("hamr"))
+            .collect::<Vec<_>>()
+    };
+    let workers = hamr("hamr_workers");
+    assert_eq!(workers.len(), 2, "one workers series per node: {body}");
+    assert!(workers.iter().all(|s| s.value == 2.0), "{body}");
+    assert!(!hamr("hamr_queue_depth").is_empty(), "{body}");
+    assert!(!hamr("hamr_deferred_bins").is_empty(), "{body}");
+
+    let states = cluster.alert_states();
+    assert!(
+        states
+            .iter()
+            .any(|s| s.rule == "queue-depth-any" && s.firing),
+        "{states:?}"
+    );
+    cluster.stop_introspection();
 }

@@ -9,7 +9,7 @@ use hamr_core::{
     typed, Cluster, ClusterConfig, Emitter, Exchange, FaultInjection, JobBuilder, JobGraph,
     RunError, Supervision, WatchdogAction, WatchdogConfig,
 };
-use hamr_trace::{AuditStage, FlightRecord, WatchdogClass};
+use hamr_trace::{AuditStage, FlightRecord, Labels, WatchdogClass};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -228,4 +228,34 @@ fn watchdog_off_disables_monitoring_but_not_the_ledger() {
         .expect("run");
     report.check().expect("audit independent of the watchdog");
     assert!(cluster.watchdog_events().is_empty());
+}
+
+#[test]
+fn a_run_starts_its_gauges_from_zero() {
+    // The cluster registry's gauge series outlive runs. Plant the
+    // values an aborted run would leave behind — deferred bins and a
+    // queued bin that will never drain — then run a healthy job.
+    let cluster = Cluster::new(ClusterConfig::local(2, 2));
+    let node0 = || Labels::new().engine("hamr").node(0);
+    let deferred = cluster.registry().gauge("deferred_bins", node0());
+    let queued = cluster.registry().gauge("queue_depth", node0().flowlet(2));
+    deferred.set(7);
+    queued.set(3);
+    let (_, report) = cluster
+        .run_supervised(
+            wordcount("wc-fresh", 200),
+            Supervision {
+                watchdog: fast_watchdog(),
+                doctor_dir: None,
+                ..Default::default()
+            },
+        )
+        .expect("healthy run");
+    report.check().expect("conservation");
+    assert!(
+        cluster.watchdog_events().is_empty(),
+        "stale gauges raised incidents: {:?}",
+        cluster.watchdog_events()
+    );
+    assert_eq!((deferred.get(), queued.get()), (0, 0));
 }

@@ -8,8 +8,8 @@ use hamr_dfs::{Dfs, DfsError, Split};
 use hamr_simdisk::{Disk, DiskError};
 use hamr_simnet::{Envelope, Fabric, NetConfig, NetError, NetRegistry, Payload};
 use hamr_trace::{
-    Audit, AuditBin, AuditReport, AuditStage, EventKind, Labels, MetricsRegistry, TaskKind,
-    Telemetry, Tracer, NO_SPAN, WORKER_RUNTIME,
+    Audit, AuditBin, AuditReport, AuditStage, EventKind, Gauge, Labels, MetricsRegistry, TaskKind,
+    Tracer, NO_SPAN, WORKER_RUNTIME,
 };
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -270,11 +270,11 @@ pub struct MrCluster {
     dfs: Dfs,
     next_job: AtomicU64,
     /// Ambient profiler: when set, plain [`run`](MrCluster::run) calls
-    /// behave as [`run_profiled`](MrCluster::run_profiled) with these
-    /// sinks — mirrors `hamr_core::Cluster` so benchmark harnesses can
+    /// behave as [`run_traced`](MrCluster::run_traced) with this tracer
+    /// — mirrors `hamr_core::Cluster` so benchmark harnesses can
     /// profile both engines through the engine-agnostic `Benchmark`
     /// trait.
-    profiler: Mutex<Option<(Tracer, Telemetry)>>,
+    profiler: Mutex<Option<Tracer>>,
     /// Ambient audit: when set, plain [`run`](MrCluster::run) calls
     /// tally shuffle custody into a fresh ledger and store the report
     /// in [`last_audit`](MrCluster::last_audit) — the engine-agnostic
@@ -283,8 +283,8 @@ pub struct MrCluster {
     last_audit: Mutex<Option<AuditReport>>,
     /// Unified metrics registry (usually the HAMR cluster's, shared by
     /// the benchmark env so `/metrics` covers both engines): when set,
-    /// runs stream net/disk counters live under `engine="mapred"`,
-    /// bridge telemetry gauges, and publish job totals at completion.
+    /// runs stream net/disk counters and gauges live under
+    /// `engine="mapred"`, and publish job totals at completion.
     registry: Mutex<Option<MetricsRegistry>>,
 }
 
@@ -337,32 +337,30 @@ impl MrCluster {
     /// ambient profiler is attached via
     /// [`attach_profiler`](MrCluster::attach_profiler).
     pub fn run(&self, conf: &JobConf) -> Result<JobStats, MrError> {
-        let (tracer, telemetry) = self.ambient_sinks();
         let audit = if *self.auditing.lock() {
             Audit::new(1, self.config.nodes as u32)
         } else {
             Audit::disabled()
         };
-        let result = self.run_inner(conf, tracer, telemetry, audit.clone());
+        let result = self.run_inner(conf, self.ambient_tracer(), audit.clone());
         if audit.enabled() {
             *self.last_audit.lock() = Some(audit.report());
         }
         result
     }
 
-    fn ambient_sinks(&self) -> (Tracer, Telemetry) {
+    fn ambient_tracer(&self) -> Tracer {
         self.profiler
             .lock()
             .clone()
-            .unwrap_or_else(|| (Tracer::disabled(), Telemetry::disabled()))
+            .unwrap_or_else(Tracer::disabled)
     }
 
     /// Attach an ambient profiler: until
     /// [`detach_profiler`](MrCluster::detach_profiler), every plain
-    /// [`run`](MrCluster::run) emits trace events through `tracer` and
-    /// samples gauges through `telemetry`.
-    pub fn attach_profiler(&self, tracer: Tracer, telemetry: Telemetry) {
-        *self.profiler.lock() = Some((tracer, telemetry));
+    /// [`run`](MrCluster::run) emits trace events through `tracer`.
+    pub fn attach_profiler(&self, tracer: Tracer) {
+        *self.profiler.lock() = Some(tracer);
     }
 
     /// Remove the ambient profiler; subsequent [`run`](MrCluster::run)
@@ -397,9 +395,8 @@ impl MrCluster {
     /// reducer-side collector — and the returned
     /// [`AuditReport::check`] proves conservation.
     pub fn run_audited(&self, conf: &JobConf) -> Result<(JobStats, AuditReport), MrError> {
-        let (tracer, telemetry) = self.ambient_sinks();
         let audit = Audit::new(1, self.config.nodes as u32);
-        let stats = self.run_inner(conf, tracer, telemetry, audit.clone())?;
+        let stats = self.run_inner(conf, self.ambient_tracer(), audit.clone())?;
         let report = audit.report();
         *self.last_audit.lock() = Some(report.clone());
         Ok((stats, report))
@@ -414,27 +411,10 @@ impl MrCluster {
     /// activity via each node's disk tracer when attached by the
     /// caller.
     pub fn run_traced(&self, conf: &JobConf, tracer: Tracer) -> Result<JobStats, MrError> {
-        self.run_profiled(conf, tracer, Telemetry::disabled())
+        self.run_inner(conf, tracer, Audit::disabled())
     }
 
-    /// Run one job with tracing and periodic telemetry sampling. The
-    /// sampler covers both phases and is stopped before this returns.
-    pub fn run_profiled(
-        &self,
-        conf: &JobConf,
-        tracer: Tracer,
-        telemetry: Telemetry,
-    ) -> Result<JobStats, MrError> {
-        self.run_inner(conf, tracer, telemetry, Audit::disabled())
-    }
-
-    fn run_inner(
-        &self,
-        conf: &JobConf,
-        tracer: Tracer,
-        telemetry: Telemetry,
-        audit: Audit,
-    ) -> Result<JobStats, MrError> {
+    fn run_inner(&self, conf: &JobConf, tracer: Tracer, audit: Audit) -> Result<JobStats, MrError> {
         let start = Instant::now();
         let job_id = self.next_job.fetch_add(1, Ordering::Relaxed);
         if !self.config.startup.job.is_zero() {
@@ -453,31 +433,31 @@ impl MrCluster {
         }
         let map_task_count = splits.len();
         let registry = self.registry.lock().clone();
-        if let Some(reg) = &registry {
-            telemetry.bind_registry(reg, "mapred");
-        }
         let fabric = Fabric::<ShuffleMsg>::new_instrumented(
             nodes,
             self.config.net.clone(),
             tracer.clone(),
-            &telemetry,
             audit.clone(),
             registry
                 .as_ref()
                 .map(|reg| NetRegistry::new(reg, "mapred", nodes)),
         );
-        let active_gauges: Vec<_> = (0..nodes)
-            .map(|n| telemetry.register(n as u32, format!("node{n}/mr_active_tasks")))
+        let active_gauges: Vec<Gauge> = (0..nodes)
+            .map(|n| {
+                registry
+                    .as_ref()
+                    .map(|reg| {
+                        reg.gauge(
+                            "mr_active_tasks",
+                            Labels::new().engine("mapred").node(n as u32),
+                        )
+                    })
+                    .unwrap_or_default()
+            })
             .collect();
-        telemetry.start();
         if tracer.enabled() {
             for (node, disk) in self.disks.iter().enumerate() {
                 disk.attach_tracer(tracer.clone(), node as u32);
-            }
-        }
-        if telemetry.enabled() {
-            for (node, disk) in self.disks.iter().enumerate() {
-                disk.attach_gauge(&telemetry, node as u32);
             }
         }
         if let Some(reg) = &registry {
@@ -562,6 +542,7 @@ impl MrCluster {
                                 sort_buffer,
                             )
                         }));
+                        active.sub(1);
                         let res = match run {
                             Ok(Ok(res)) => res,
                             Ok(Err(e)) => {
@@ -575,7 +556,6 @@ impl MrCluster {
                                 return;
                             }
                         };
-                        active.sub(1);
                         tracer.emit(
                             node as u32,
                             slot as u32,
@@ -671,11 +651,6 @@ impl MrCluster {
                     disk.detach_tracer();
                 }
             }
-            if telemetry.enabled() {
-                for disk in &self.disks {
-                    disk.detach_gauge();
-                }
-            }
             if registry.is_some() {
                 for disk in &self.disks {
                     disk.detach_registry();
@@ -683,7 +658,6 @@ impl MrCluster {
             }
         };
         if let Some(e) = first_error.lock().take() {
-            telemetry.stop();
             fabric.shutdown();
             detach_disks();
             return Err(e);
@@ -783,7 +757,6 @@ impl MrCluster {
         for h in reduce_handles {
             let _ = h.join();
         }
-        telemetry.stop();
         detach_disks();
         if let Some(e) = first_error.lock().take() {
             return Err(e);

@@ -24,9 +24,7 @@ mod throttle;
 
 pub use throttle::Throttle;
 
-use hamr_trace::{
-    Counter, EventKind, Gauge, Labels, MetricsRegistry, Telemetry, Tracer, WORKER_DISK,
-};
+use hamr_trace::{Counter, EventKind, Gauge, Labels, MetricsRegistry, Tracer, WORKER_DISK};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
@@ -123,6 +121,7 @@ struct DiskCounters {
     write_bytes: Counter,
     read_ops: Counter,
     write_ops: Counter,
+    used_bytes: Gauge,
 }
 
 struct DiskInner {
@@ -135,9 +134,6 @@ struct DiskInner {
     /// one relaxed load instead of an RwLock acquisition.
     trace_on: AtomicBool,
     tracer: RwLock<Option<(Tracer, u32)>>,
-    /// Telemetry gauge mirroring bytes resident on this disk; disabled
-    /// (a no-op) outside profiled runs.
-    used_gauge: RwLock<Gauge>,
     /// Fast-path flag mirroring "registry counters attached".
     reg_on: AtomicBool,
     counters: RwLock<DiskCounters>,
@@ -160,7 +156,6 @@ impl Disk {
                 temp_counter: AtomicU64::new(0),
                 trace_on: AtomicBool::new(false),
                 tracer: RwLock::new(None),
-                used_gauge: RwLock::new(Gauge::disabled()),
                 reg_on: AtomicBool::new(false),
                 counters: RwLock::new(DiskCounters::default()),
             }),
@@ -182,34 +177,24 @@ impl Disk {
         *self.inner.tracer.write() = None;
     }
 
-    /// Bind a telemetry gauge tracking bytes resident on this disk
-    /// (`node{n}/disk_used_bytes`). The gauge is seeded with the
-    /// current usage so subsequent seal/delete deltas stay exact; like
-    /// the tracer, attach before a profiled run and detach after.
-    pub fn attach_gauge(&self, telemetry: &Telemetry, node: u32) {
-        let gauge = telemetry.register(node, format!("node{node}/disk_used_bytes"));
-        gauge.set(self.used_bytes() as i64);
-        *self.inner.used_gauge.write() = gauge;
-    }
-
-    /// Stop mirroring usage into telemetry.
-    pub fn detach_gauge(&self) {
-        *self.inner.used_gauge.write() = Gauge::disabled();
-    }
-
     /// Bind this disk's IO to the unified registry: every read/write
     /// bumps `disk_{read,write}_bytes_total` and
     /// `disk_{read,write}_ops_total` counters labeled with `engine` and
     /// `node`. Counters are registered once and shared across attaches
     /// (registry counters are cumulative), so the series covers all IO
-    /// performed while any run had the registry attached.
+    /// performed while any run had the registry attached. The
+    /// `disk_used_bytes` gauge is seeded with the current usage so
+    /// subsequent seal/delete deltas stay exact.
     pub fn attach_registry(&self, registry: &MetricsRegistry, engine: &str, node: u32) {
         let labels = Labels::new().engine(engine).node(node);
+        let used_bytes = registry.gauge("disk_used_bytes", labels.clone());
+        used_bytes.set(self.used_bytes() as i64);
         *self.inner.counters.write() = DiskCounters {
             read_bytes: registry.counter("disk_read_bytes_total", labels.clone()),
             write_bytes: registry.counter("disk_write_bytes_total", labels.clone()),
             read_ops: registry.counter("disk_read_ops_total", labels.clone()),
             write_ops: registry.counter("disk_write_ops_total", labels),
+            used_bytes,
         };
         self.inner.reg_on.store(true, Ordering::Release);
     }
@@ -231,6 +216,12 @@ impl Disk {
         } else {
             counters.write_bytes.add(bytes as u64);
             counters.write_ops.inc();
+        }
+    }
+
+    fn registry_used(&self, delta: i64) {
+        if self.inner.reg_on.load(Ordering::Acquire) {
+            self.inner.counters.read().used_bytes.add(delta);
         }
     }
 
@@ -328,7 +319,7 @@ impl Disk {
     /// Remove a file; succeeds silently if absent (like `rm -f`).
     pub fn delete(&self, name: &str) {
         if let Some(old) = self.inner.files.write().remove(name) {
-            self.inner.used_gauge.read().sub(old.len() as i64);
+            self.registry_used(-(old.len() as i64));
         }
     }
 
@@ -457,11 +448,7 @@ impl FileWriter {
             .write()
             .insert(self.name.clone(), Arc::new(data));
         let old_len = old.map(|d| d.len()).unwrap_or(0);
-        self.disk
-            .inner
-            .used_gauge
-            .read()
-            .add(len as i64 - old_len as i64);
+        self.disk.registry_used(len as i64 - old_len as i64);
         len
     }
 }

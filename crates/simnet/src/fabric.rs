@@ -4,7 +4,7 @@ use crate::metrics::{MetricsInner, NetMetrics, NetRegistry};
 use crate::timer::TimerThread;
 use crate::{NetConfig, NodeId, Payload};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use hamr_trace::{Audit, AuditStage, EventKind, Gauge, Telemetry, Tracer, WORKER_NET};
+use hamr_trace::{Audit, AuditStage, EventKind, Tracer, WORKER_NET};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
@@ -51,8 +51,6 @@ pub(crate) struct FabricInner<M: Payload> {
     pub(crate) metrics: MetricsInner,
     timer: Option<TimerThread<M>>,
     tracer: Tracer,
-    /// Telemetry gauge: bytes sent but not yet delivered, cluster-wide.
-    inflight_gauge: Gauge,
     /// Bin custody ledger; the fabric owns the *deliver* tally.
     audit: Audit,
     /// Live per-node traffic series in the unified registry, when the
@@ -78,48 +76,21 @@ impl<M: Payload> Clone for Fabric<M> {
 impl<M: Payload> Fabric<M> {
     /// Create a fabric with `n` endpoints under the given delivery model.
     pub fn new(n: usize, config: NetConfig) -> Self {
-        Fabric::new_traced(n, config, Tracer::disabled())
+        Fabric::new_instrumented(n, config, Tracer::disabled(), Audit::disabled(), None)
     }
 
-    /// Like [`new`](Fabric::new), but sends and deliveries emit
-    /// `NetSend`/`NetDeliver` trace events through `tracer`.
-    pub fn new_traced(n: usize, config: NetConfig, tracer: Tracer) -> Self {
-        Fabric::new_profiled(n, config, tracer, &Telemetry::disabled())
-    }
-
-    /// Like [`new_traced`](Fabric::new_traced), and additionally
-    /// registers a cluster-wide `net/inflight_bytes` gauge with
-    /// `telemetry` tracking bytes sent but not yet delivered.
-    pub fn new_profiled(
-        n: usize,
-        config: NetConfig,
-        tracer: Tracer,
-        telemetry: &Telemetry,
-    ) -> Self {
-        Fabric::new_audited(n, config, tracer, telemetry, Audit::disabled())
-    }
-
-    /// Like [`new_profiled`](Fabric::new_profiled), and additionally
-    /// tallies the *deliver* custody point of every bin-carrying
-    /// message (per [`Payload::audit_bin`]) into `audit`.
-    pub fn new_audited(
-        n: usize,
-        config: NetConfig,
-        tracer: Tracer,
-        telemetry: &Telemetry,
-        audit: Audit,
-    ) -> Self {
-        Fabric::new_instrumented(n, config, tracer, telemetry, audit, None)
-    }
-
-    /// Like [`new_audited`](Fabric::new_audited), and additionally
-    /// streams per-node sent/recv byte and message counters plus a
-    /// message-size histogram into `net_registry` on every send.
+    /// Like [`new`](Fabric::new), and additionally:
+    /// - sends and deliveries emit `NetSend`/`NetDeliver` trace events
+    ///   through `tracer`;
+    /// - the *deliver* custody point of every bin-carrying message (per
+    ///   [`Payload::audit_bin`]) is tallied into `audit`;
+    /// - per-node sent/recv byte and message counters, a message-size
+    ///   histogram and the `net_inflight_bytes` gauge stream into
+    ///   `net_registry`.
     pub fn new_instrumented(
         n: usize,
         config: NetConfig,
         tracer: Tracer,
-        telemetry: &Telemetry,
         audit: Audit,
         net_registry: Option<NetRegistry>,
     ) -> Self {
@@ -133,15 +104,20 @@ impl<M: Payload> Fabric<M> {
                 }
             })
             .collect();
-        let inflight_gauge = telemetry.register(u32::MAX, "net/inflight_bytes");
         let timer = if config.is_instant() {
             None
         } else {
+            // Only timer-scheduled messages are ever in flight; the
+            // timer keeps the gauge balanced, dropped flights included.
+            let inflight_gauge = net_registry
+                .as_ref()
+                .map(|r| r.inflight_bytes.clone())
+                .unwrap_or_default();
             let sinks = endpoints.iter().map(|ep| ep.tx.clone()).collect();
             Some(TimerThread::spawn(
                 sinks,
                 tracer.clone(),
-                inflight_gauge.clone(),
+                inflight_gauge,
                 audit.clone(),
             ))
         };
@@ -152,7 +128,6 @@ impl<M: Payload> Fabric<M> {
                 metrics: MetricsInner::new(n),
                 timer,
                 tracer,
-                inflight_gauge,
                 audit,
                 net_registry,
             }),
@@ -212,7 +187,6 @@ impl<M: Payload> Fabric<M> {
                 bytes: size as u64,
             },
         );
-        self.inner.inflight_gauge.add(size as i64);
         let env = Envelope { from, to, msg };
         match &self.inner.timer {
             None => self.deliver_now(env, size),
@@ -229,7 +203,6 @@ impl<M: Payload> Fabric<M> {
     }
 
     fn deliver_now(&self, env: Envelope<M>, size: usize) -> Result<(), NetError> {
-        self.inner.inflight_gauge.sub(size as i64);
         if self.inner.audit.enabled() {
             if let Some(b) = env.msg.audit_bin() {
                 self.inner.audit.record(

@@ -5,14 +5,15 @@
 //! interest has quiesced.
 
 use crate::NodeId;
-use hamr_trace::{Counter, Histogram, Labels, MetricsRegistry};
+use hamr_trace::{Counter, Gauge, Histogram, Labels, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Live per-node traffic series registered against the unified
 /// [`MetricsRegistry`]. Unlike the [`NetMetrics`] snapshot matrix
 /// (n² cells, read after quiescence), these are a handful of per-node
-/// counters plus one message-size histogram, bumped on the send path —
-/// which is per-bin, so a few relaxed atomic adds per message.
+/// counters, one message-size histogram and one cluster-wide
+/// in-flight-bytes gauge, bumped on the send path — which is per-bin,
+/// so a few relaxed atomic adds per message.
 ///
 /// Counters are recorded at send/enqueue time (like the traffic
 /// matrix): `recv` series mean "bytes addressed to this node", which
@@ -22,6 +23,8 @@ pub struct NetRegistry {
     recv_bytes: Vec<Counter>,
     sent_messages: Vec<Counter>,
     message_bytes: Histogram,
+    /// Bytes sent but not yet delivered, cluster-wide.
+    pub(crate) inflight_bytes: Gauge,
 }
 
 impl NetRegistry {
@@ -40,6 +43,7 @@ impl NetRegistry {
                 .map(|i| registry.counter("net_sent_messages_total", labels(i)))
                 .collect(),
             message_bytes: registry.histogram("net_message_bytes", Labels::new().engine(engine)),
+            inflight_bytes: registry.gauge("net_inflight_bytes", Labels::new().engine(engine)),
         }
     }
 

@@ -125,6 +125,7 @@ impl<M: Payload> TimerThread<M> {
         if state.stopped {
             return;
         }
+        self.shared.inflight_gauge.add(size as i64);
         let link = env.from * self.shared.nodes + env.to;
         // Transmission occupies both the sender's link and the
         // receiver's ingress; start when both are free.
@@ -163,7 +164,8 @@ impl<M: Payload> TimerThread<M> {
                 return;
             }
             state.stopped = true;
-            state.heap.clear();
+            let dropped: usize = state.heap.drain().map(|Reverse(f)| f.size).sum();
+            self.shared.inflight_gauge.sub(dropped as i64);
         }
         self.shared.cond.notify_all();
         if let Some(handle) = self.handle.lock().take() {

@@ -10,13 +10,21 @@ use super::{AuditReport, AuditStage};
 use crate::json::{self, escape, Json};
 use crate::{EventKind, TraceEvent, WatchdogClass};
 
-/// One sampled gauge at dump time: the raw registered name (e.g.
-/// `node0/f2/queue_depth`), the owning node, and the value.
+/// One registry gauge at dump time: the series name with its labels
+/// (e.g. `queue_depth{node="0",flowlet="2"}`), the owning node
+/// (`u32::MAX` for cluster-wide gauges), and the value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaugeValue {
     pub name: String,
     pub node: u32,
     pub value: i64,
+}
+
+impl GaugeValue {
+    /// The metric name without its labels (`queue_depth`).
+    pub fn metric(&self) -> &str {
+        self.name.split('{').next().unwrap_or(&self.name)
+    }
 }
 
 /// A trace event flattened for the black box: the structured
@@ -443,7 +451,7 @@ impl FlightRecord {
             if let Some((node, value)) = self
                 .gauges
                 .iter()
-                .filter(|g| g.name.ends_with(suffix) && g.value > 0)
+                .filter(|g| g.metric() == suffix && g.value > 0)
                 .map(|g| (g.node, g.value))
                 .max_by_key(|&(_, v)| v)
             {
@@ -595,7 +603,7 @@ mod tests {
             3,
             audit.report(),
             vec![GaugeValue {
-                name: "node1/f2/queue_depth".into(),
+                name: "queue_depth{node=\"1\",flowlet=\"2\"}".into(),
                 node: 1,
                 value: 1,
             }],

@@ -15,7 +15,7 @@
 //! * `"M"` metadata events name processes and the synthetic lanes.
 
 use crate::json::escape;
-use crate::{EventKind, TimeSeries, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME};
+use crate::{EventKind, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME};
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -144,20 +144,6 @@ fn metadata(name: &str, node: u32, tid: Option<u64>, value: &str) -> String {
 /// `TaskStart`s (e.g. from a truncated ring buffer) are dropped;
 /// unpaired `TaskEnd`s become instants so nothing is silently lost.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    render(events, None)
-}
-
-/// Like [`chrome_trace_json`], plus `"ph":"C"` counter tracks from a
-/// sampled gauge [`TimeSeries`] — queue depths, window occupancy and
-/// friends render as area charts alongside the task timeline.
-pub fn chrome_trace_json_with_counters(events: &[TraceEvent], series: &TimeSeries) -> String {
-    render(events, Some(series))
-}
-
-/// Synthetic pid for cluster-wide (non-per-node) counter tracks.
-const CLUSTER_PID: u64 = 1_000_000;
-
-fn render(events: &[TraceEvent], series: Option<&TimeSeries>) -> String {
     let mut evs: Vec<&TraceEvent> = events.iter().collect();
     evs.sort_by_key(|e| e.t_us);
 
@@ -418,31 +404,6 @@ fn render(events: &[TraceEvent], series: Option<&TimeSeries>) -> String {
         }
     }
 
-    // Sampled gauges become counter tracks on their owning node's
-    // process (cluster-wide gauges on a synthetic "cluster" process).
-    let mut cluster_counters = false;
-    if let Some(series) = series {
-        for sample in &series.samples {
-            for (g, name) in series.names.iter().enumerate() {
-                let value = sample.values.get(g).copied().unwrap_or(0);
-                let node = series.nodes.get(g).copied().unwrap_or(u32::MAX);
-                let pid = if node == u32::MAX {
-                    cluster_counters = true;
-                    CLUSTER_PID
-                } else {
-                    node as u64
-                };
-                em.push(format!(
-                    "\"name\":\"{}\",\"ph\":\"C\",\"pid\":{},\"ts\":{},\"args\":{{\"value\":{}}}",
-                    escape(name),
-                    pid,
-                    sample.t_us,
-                    value,
-                ));
-            }
-        }
-    }
-
     // Name processes and lanes so the timeline is readable.
     let nodes: BTreeSet<u32> = lanes_seen.iter().map(|(n, _)| *n).collect();
     for node in nodes {
@@ -451,12 +412,6 @@ fn render(events: &[TraceEvent], series: Option<&TimeSeries>) -> String {
             node,
             None,
             &format!("node {node}"),
-        ));
-    }
-    if cluster_counters {
-        em.push(format!(
-            "\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{CLUSTER_PID},\
-             \"args\":{{\"name\":\"cluster\"}}"
         ));
     }
     for (node, worker) in &lanes_seen {

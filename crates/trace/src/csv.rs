@@ -1,8 +1,7 @@
 //! Minimal shared CSV writing, RFC 4180 quoting rules.
 //!
-//! Both the telemetry time-series export and simnet's traffic-matrix
-//! export emit CSV; this helper is the one place that knows when a
-//! field needs quoting (embedded comma, quote, or newline) so ad-hoc
+//! Simnet's traffic-matrix export emits CSV; this helper is the one
+//! place that knows when a field needs quoting (embedded comma, quote, or newline) so ad-hoc
 //! emitters cannot silently produce unparsable rows. Plain fields pass
 //! through unquoted, keeping existing golden outputs byte-stable.
 

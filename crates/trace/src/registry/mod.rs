@@ -2,10 +2,10 @@
 //! counter, gauge, and histogram either engine produces.
 //!
 //! Before this module, instrumentation was fragmented: `NodeMetrics` /
-//! `JobMetrics` lived in core, `NetMetrics` in simnet, disk counters in
-//! simdisk, and live [`Gauge`](crate::Gauge)s in [`crate::Telemetry`] —
-//! each with its own ad-hoc export and none queryable while a job runs.
-//! A [`MetricsRegistry`] absorbs all of them behind one API:
+//! `JobMetrics` lived in core, `NetMetrics` in simnet and disk counters
+//! in simdisk — each with its own ad-hoc export and none queryable
+//! while a job runs. A [`MetricsRegistry`] absorbs all of them behind
+//! one API, and it is the only place a live gauge is created:
 //!
 //! * components register **labeled series** — a metric name plus a
 //!   [`Labels`] set drawn from `(job, engine, node, flowlet, edge)` —
@@ -37,7 +37,6 @@ pub use http::{http_get, HttpResponse, HttpServer, RouteHandler};
 pub use snapshot::{parse_prometheus, HistSample, PromSample, SampleValue, SeriesSample, Snapshot};
 
 use crate::hist::{bucket_of, HIST_BUCKETS};
-use crate::telemetry::Gauge;
 use crate::LatencyHistogram;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -147,6 +146,54 @@ impl Counter {
 impl std::fmt::Debug for Counter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Counter({})", self.get())
+    }
+}
+
+/// A gauge handle: a value that moves both ways (queue depths, window
+/// occupancy, resident bytes). Cloning shares the cell; a disabled
+/// handle (registry full, or kind clash) ignores updates. All updates
+/// are relaxed atomics — gauges are statistics, not synchronization.
+#[derive(Clone, Default)]
+pub struct Gauge {
+    cell: Option<Arc<AtomicI64>>,
+}
+
+impl Gauge {
+    /// A gauge that ignores every update.
+    pub fn disabled() -> Self {
+        Gauge { cell: None }
+    }
+
+    #[inline]
+    pub fn add(&self, delta: i64) {
+        if let Some(cell) = &self.cell {
+            cell.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+
+    #[inline]
+    pub fn sub(&self, delta: i64) {
+        self.add(-delta);
+    }
+
+    #[inline]
+    pub fn set(&self, value: i64) {
+        if let Some(cell) = &self.cell {
+            cell.store(value, Ordering::Relaxed);
+        }
+    }
+
+    pub fn get(&self) -> i64 {
+        self.cell
+            .as_ref()
+            .map(|c| c.load(Ordering::Relaxed))
+            .unwrap_or(0)
+    }
+}
+
+impl std::fmt::Debug for Gauge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Gauge({})", self.get())
     }
 }
 
@@ -350,48 +397,34 @@ impl MetricsRegistry {
         .unwrap_or_default()
     }
 
-    /// Register (or look up) a gauge series. The handle is the same
-    /// [`Gauge`] type [`crate::Telemetry`] hands out, so one cell can
-    /// feed both the time-series sampler and the registry.
+    /// Register (or look up) a gauge series.
     pub fn gauge(&self, name: &str, labels: Labels) -> Gauge {
         self.register(
             name,
             labels,
             || Cell::Gauge(Arc::new(AtomicI64::new(0))),
             |cell| match cell {
-                Cell::Gauge(c) => Some(Gauge::from_cell(Arc::clone(c))),
+                Cell::Gauge(c) => Some(Gauge {
+                    cell: Some(Arc::clone(c)),
+                }),
                 _ => None,
             },
         )
         .unwrap_or_default()
     }
 
-    /// Bind an *existing* gauge cell (e.g. one a [`crate::Telemetry`]
-    /// already samples) into the registry under `name` + `labels`. If
-    /// the series already exists its cell is replaced — a fresh run's
-    /// live gauge supersedes the previous run's dead one.
-    pub fn bind_gauge_cell(&self, name: &str, labels: Labels, cell: Arc<AtomicI64>) {
-        let mut map = self.inner.series.lock().unwrap_or_else(|p| p.into_inner());
-        let key = (name.to_string(), labels.clone());
-        if let Some(&i) = map.index.get(&key) {
-            if let Cell::Gauge(slot) = &mut map.list[i].cell {
-                *slot = cell;
-            } else {
-                self.inner.dropped_series.fetch_add(1, Ordering::Relaxed);
+    /// Zero every gauge series labeled `engine` whose name is in
+    /// `names`. Series and the handles to them survive; only the
+    /// values reset.
+    pub fn zero_gauges(&self, engine: &str, names: &[&str]) {
+        let map = self.inner.series.lock().unwrap_or_else(|p| p.into_inner());
+        for s in &map.list {
+            if let Cell::Gauge(cell) = &s.cell {
+                if s.labels.engine.as_deref() == Some(engine) && names.contains(&s.name.as_str()) {
+                    cell.store(0, Ordering::Relaxed);
+                }
             }
-            return;
         }
-        if map.list.len() >= self.inner.max_series {
-            self.inner.dropped_series.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let slot = map.list.len();
-        map.index.insert(key, slot);
-        map.list.push(Series {
-            name: name.to_string(),
-            labels,
-            cell: Cell::Gauge(cell),
-        });
     }
 
     /// Register (or look up) a histogram series.
@@ -618,22 +651,21 @@ mod tests {
     }
 
     #[test]
-    fn bound_gauge_cell_is_live_and_replaceable() {
+    fn zero_gauges_resets_only_the_named_engine_series() {
         let r = MetricsRegistry::new();
-        let cell = Arc::new(AtomicI64::new(11));
-        r.bind_gauge_cell("queue_depth", Labels::new().node(0), Arc::clone(&cell));
-        cell.store(13, Ordering::Relaxed);
-        assert!(matches!(
-            r.snapshot().get("queue_depth", &Labels::new().node(0)),
-            Some(SampleValue::Gauge(13))
-        ));
-        // A new run's cell replaces the old one under the same key.
-        let fresh = Arc::new(AtomicI64::new(-2));
-        r.bind_gauge_cell("queue_depth", Labels::new().node(0), fresh);
-        assert!(matches!(
-            r.snapshot().get("queue_depth", &Labels::new().node(0)),
-            Some(SampleValue::Gauge(-2))
-        ));
-        assert_eq!(r.series_count(), 1);
+        let hamr = r.gauge("queue_depth", Labels::new().engine("hamr").node(0));
+        let other = r.gauge("queue_depth", Labels::new().engine("mapred").node(0));
+        let kept = r.gauge("resident_bytes", Labels::new().engine("hamr"));
+        for g in [&hamr, &other, &kept] {
+            g.set(5);
+        }
+        r.zero_gauges("hamr", &["queue_depth"]);
+        assert_eq!((hamr.get(), other.get(), kept.get()), (0, 5, 5));
+        hamr.add(2);
+        assert_eq!(
+            r.gauge("queue_depth", Labels::new().engine("hamr").node(0))
+                .get(),
+            2
+        );
     }
 }

@@ -2,8 +2,8 @@
 //! exposition, and a small parser for validating scraped output.
 
 use super::Labels;
+use crate::audit::GaugeValue;
 use crate::hist::bucket_upper;
-use crate::telemetry::prometheus_label_escape;
 
 /// A sampled histogram: total count, total sum (µs or bytes, per the
 /// series' unit), and raw per-log2-bucket counts.
@@ -111,6 +111,33 @@ impl Snapshot {
         }
     }
 
+    /// Every live gauge series labeled `engine`, named the way
+    /// `/metrics` shows it minus the engine label
+    /// (`queue_depth{node="1",flowlet="2"}`) — what the watchdog reads
+    /// each epoch and a flight record dumps. Job-labeled gauges
+    /// describe a completed job's data, not live state, and are left
+    /// out.
+    pub fn engine_gauges(&self, engine: &str) -> Vec<GaugeValue> {
+        self.series
+            .iter()
+            .filter(|s| s.labels.engine.as_deref() == Some(engine) && s.labels.job.is_none())
+            .filter_map(|s| match s.value {
+                SampleValue::Gauge(value) => {
+                    let labels = Labels {
+                        engine: None,
+                        ..s.labels.clone()
+                    };
+                    Some(GaugeValue {
+                        name: format!("{}{}", s.name, render_labels(&labels, None)),
+                        node: s.labels.node.unwrap_or(u32::MAX),
+                        value,
+                    })
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Render the snapshot in the Prometheus text exposition format.
     /// Every series gains a `hamr_` prefix; histograms expose
     /// cumulative `_bucket{le=...}` samples plus `_sum` and `_count`.
@@ -182,6 +209,21 @@ fn sanitize_metric_name(name: &str) -> String {
         .collect();
     if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         out.insert(0, '_');
+    }
+    out
+}
+
+/// Escape a Prometheus label *value*: the exposition format requires
+/// `\`, `"` and newlines inside quoted label values to be escaped.
+fn prometheus_label_escape(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
     }
     out
 }
@@ -431,6 +473,61 @@ mod tests {
             }
             other => panic!("expected histogram delta, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn exposition_escapes_label_values_and_sanitizes_metric_names() {
+        let r = MetricsRegistry::new();
+        // A hostile label value (quotes, backslash, newline) and a
+        // metric name with characters the format forbids.
+        r.gauge("resident bytes", Labels::new().job("disk \"a\\b\"\nx"))
+            .set(4);
+        let text = r.snapshot().to_prometheus();
+        assert!(
+            text.contains("job=\"disk \\\"a\\\\b\\\"\\nx\""),
+            "label value must be escaped: {text}"
+        );
+        assert!(
+            text.contains("hamr_resident_bytes{"),
+            "metric name must be sanitized: {text}"
+        );
+        let samples = parse_prometheus(&text).expect("escaped exposition parses");
+        let g = samples
+            .iter()
+            .find(|s| s.name == "hamr_resident_bytes")
+            .expect("gauge present");
+        assert_eq!(g.label("job"), Some("disk \"a\\b\"\nx"));
+        assert_eq!(g.value, 4.0);
+    }
+
+    #[test]
+    fn engine_gauges_keep_live_series_of_one_engine() {
+        let r = MetricsRegistry::new();
+        let hamr = || Labels::new().engine("hamr");
+        r.gauge("queue_depth", hamr().node(1).flowlet(2)).set(3);
+        r.gauge("net_inflight_bytes", hamr()).set(9);
+        r.gauge("queue_depth", Labels::new().engine("mapred").node(1))
+            .set(4);
+        r.gauge("stats_shuffle_distinct_keys", hamr().job("wc"))
+            .set(5);
+        r.counter("shuffled_bytes_total", hamr().node(1)).add(6);
+        let gauges = r.snapshot().engine_gauges("hamr");
+        assert_eq!(
+            gauges,
+            vec![
+                GaugeValue {
+                    name: "queue_depth{node=\"1\",flowlet=\"2\"}".into(),
+                    node: 1,
+                    value: 3,
+                },
+                GaugeValue {
+                    name: "net_inflight_bytes".into(),
+                    node: u32::MAX,
+                    value: 9,
+                },
+            ]
+        );
+        assert_eq!(gauges[0].metric(), "queue_depth");
     }
 
     #[test]
