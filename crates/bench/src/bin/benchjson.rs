@@ -92,6 +92,9 @@
 //!           [--metrics-out FILE] [--skew-ablation] [--journal DIR]
 //! ```
 //!
+//! `--reps N` is the number of timed runs per (benchmark, engine); the
+//! best is reported. It defaults to 3, or 1 under `--quick`.
+//!
 //! `--journal DIR` adds one quick WordCount row with the durable
 //! flight journal writing into DIR; its wall joins the
 //! `--fail-on-overhead` gate as `hamr-journal` and the journal is
@@ -698,6 +701,8 @@ fn skew_ablation(params: &SimParams) -> Result<Vec<AblationRow>, String> {
 
 struct Args {
     quick: bool,
+    /// Resolved after parsing: an explicit `--reps`, else 1 under
+    /// `--quick`, else 3.
     reps: usize,
     out: String,
     raw_out: Option<String>,
@@ -713,9 +718,10 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
+    let mut reps = None;
     let mut args = Args {
         quick: false,
-        reps: 3,
+        reps: 0,
         out: "BENCH_pr8.json".to_string(),
         raw_out: None,
         baseline: None,
@@ -733,7 +739,7 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
             "--quick" => args.quick = true,
-            "--reps" => args.reps = value("--reps")?.parse().map_err(|e| format!("{e}"))?,
+            "--reps" => reps = Some(value("--reps")?.parse().map_err(|e| format!("{e}"))?),
             "--out" => args.out = value("--out")?,
             "--raw-out" => args.raw_out = Some(value("--raw-out")?),
             "--baseline" => args.baseline = Some(value("--baseline")?),
@@ -758,9 +764,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.quick {
-        args.reps = args.reps.min(1);
-    }
+    args.reps = reps.unwrap_or(if args.quick { 1 } else { 3 });
     if args.reps == 0 {
         return Err("--reps must be >= 1".into());
     }

@@ -23,9 +23,8 @@ use hamr_kvstore::KvStore;
 use hamr_simdisk::Disk;
 use hamr_simnet::{Fabric, NetRegistry};
 use hamr_trace::{
-    AlertEvent, AlertRule, AlertState, Audit, AuditReport, FlightRecord, Journal, JournalConfig,
-    JournalRecord, Labels, MetricsRegistry, RecordedEvent, RingSink, StatsPlane, Telemetry, Tracer,
-    WatchdogClass, WatchdogTrip,
+    AlertEvent, AlertRule, AlertState, Audit, AuditReport, Journal, JournalConfig, JournalRecord,
+    Labels, MetricsRegistry, RecordedEvent, RingSink, StatsPlane, Telemetry, Tracer, WatchdogClass,
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -33,21 +32,17 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Settings for a supervised run: the watchdog, and the flight
-/// recorder that turns a trip or failure into a `doctor_<job>.json`
-/// post-mortem dump for `tracedump --doctor`.
+/// Settings for a supervised run: the watchdog, and the flight ring
+/// whose events the live `/doctor` endpoint serves and the journal
+/// (when enabled) persists — the overflow as it happens, the tail when
+/// the run trips or fails — for `hamr doctor`.
 #[derive(Debug, Clone)]
 pub struct Supervision {
     pub watchdog: WatchdogConfig,
     /// Per-lane capacity of the flight-recorder event ring (one lane
     /// per node). 0 disables event capture; the audit ledger and
-    /// gauges are still dumped.
+    /// gauges are still journaled.
     pub flight_events: usize,
-    /// Newest events kept in a doctor dump.
-    pub keep_last: usize,
-    /// Where `doctor_<job>.json` is written on a watchdog trip or job
-    /// failure. `None` disables dumping.
-    pub doctor_dir: Option<PathBuf>,
 }
 
 impl Default for Supervision {
@@ -55,8 +50,6 @@ impl Default for Supervision {
         Supervision {
             watchdog: WatchdogConfig::from_env(),
             flight_events: 128,
-            keep_last: 200,
-            doctor_dir: Some(PathBuf::from(".")),
         }
     }
 }
@@ -84,25 +77,6 @@ fn wire_journal(introspect: &Arc<Introspect>, disks: &[Disk], journal: Journal) 
     let journal = Arc::new(journal);
     introspect.set_journal(Some(Arc::clone(&journal)));
     journal
-}
-
-/// Make a job name safe as a file-name fragment.
-fn file_slug(name: &str) -> String {
-    let slug: String = name
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect();
-    if slug.is_empty() {
-        "job".into()
-    } else {
-        slug
-    }
 }
 
 /// The `engine="hamr"` node gauges that describe one run. Each series
@@ -410,8 +384,8 @@ impl Cluster {
     /// Run one job with the full self-verification layer at default
     /// settings: every bin is tallied through the
     /// emit → ship → deliver → consume custody chain, a watchdog
-    /// monitors liveness, and a trip or failure dumps a
-    /// `doctor_<job>.json` flight record. Returns the job result
+    /// monitors liveness, and a trip or failure leaves its evidence in
+    /// the journal for `hamr doctor`. Returns the job result
     /// together with the conservation [`AuditReport`] — call
     /// [`AuditReport::check`] to prove no bin was dropped, duplicated,
     /// or left behind.
@@ -426,7 +400,6 @@ impl Cluster {
         sup: Supervision,
     ) -> Result<(JobResult, AuditReport), RunError> {
         let n = self.config.nodes;
-        let job_name = graph.name.clone();
         let audit = Audit::new(graph.edges.len() as u32, n as u32);
         // Reuse the ambient profiler's tracer when attached; otherwise
         // record the last-K events into a bounded ring (the flight
@@ -447,7 +420,7 @@ impl Cluster {
             None => Tracer::disabled(),
         };
         // Overflowed flight-ring drops are visible in `/metrics` while
-        // the run is still going, not only in the post-mortem dump.
+        // the run is still going.
         if let Some(ring) = &ring {
             ring.mirror_drops(
                 self.introspect
@@ -456,34 +429,10 @@ impl Cluster {
             );
         }
         let watchdog = (sup.watchdog.action != WatchdogAction::Off).then(|| sup.watchdog.clone());
-        let (result, events, trip) =
-            self.run_inner(graph, tracer, audit.clone(), watchdog, ring.clone());
+        let (result, events, trip) = self.run_inner(graph, tracer, audit.clone(), watchdog, ring);
         let report = audit.report();
         *self.last_audit.lock().unwrap_or_else(|p| p.into_inner()) = Some(report.clone());
         *self.wd_events.lock().unwrap_or_else(|p| p.into_inner()) = events;
-        if trip.is_some() || result.is_err() {
-            if let Some(dir) = &sup.doctor_dir {
-                let dropped_events = ring.as_ref().map(|r| r.dropped()).unwrap_or(0);
-                let ring_events = ring.map(|r| r.drain()).unwrap_or_default();
-                let record = FlightRecord::capture(
-                    &job_name,
-                    "hamr",
-                    trip.clone().map(|e| WatchdogTrip {
-                        class: e.class,
-                        epoch: e.epoch,
-                        detail: e.detail,
-                    }),
-                    result.as_ref().err().map(|e| e.to_string()),
-                    &ring_events,
-                    sup.keep_last,
-                    dropped_events,
-                    report.clone(),
-                    self.introspect.registry.snapshot().engine_gauges("hamr"),
-                );
-                let path = dir.join(format!("doctor_{}.json", file_slug(&job_name)));
-                let _ = std::fs::write(&path, record.to_json());
-            }
-        }
         match result {
             Ok(job) => Ok((job, report)),
             // An abort-action trip caused the failure: surface the
@@ -538,7 +487,6 @@ impl Cluster {
                 .unwrap_or_else(|p| p.into_inner());
             *live = LiveRun {
                 job: graph.name.clone(),
-                engine: "hamr",
                 ring: ring.clone(),
                 audit: Some(audit.clone()),
             };
@@ -594,12 +542,7 @@ impl Cluster {
         let watchdog = watchdog.map(|cfg| {
             let abort_ep = fabric.endpoint(0).expect("fresh fabric has node 0");
             let abort = Box::new(move |event: &WatchdogEvent| {
-                let reason = Arc::new(format!(
-                    "watchdog {} at epoch {}: {}",
-                    event.class.name(),
-                    event.epoch,
-                    event.detail
-                ));
+                let reason = Arc::new(event.to_string());
                 let _ = abort_ep.broadcast(|_| NetMsg::Abort {
                     reason: Arc::clone(&reason),
                 });
@@ -618,12 +561,7 @@ impl Cluster {
                     if event.class == WatchdogClass::Straggler {
                         h.warnings += 1;
                     } else {
-                        h.incident = Some(format!(
-                            "watchdog {} at epoch {}: {}",
-                            event.class.name(),
-                            event.epoch,
-                            event.detail
-                        ));
+                        h.incident = Some(event.to_string());
                         if h.incident_since_us.is_none() {
                             h.incident_since_us = Some(notify_intro.now_us());
                         }
@@ -904,6 +842,7 @@ impl Cluster {
                 t_us: j.now_us(),
                 elapsed_us: start.elapsed().as_micros() as u64,
                 shuffled_bytes: metrics.shuffled_bytes,
+                error: first_error.as_ref().map(|e| e.to_string()),
             });
         }
         if let Some(ring) = &ring {

@@ -13,13 +13,14 @@
 //!   active);
 //! * `/doctor` — a live flight-recorder dump (`FlightRecord` JSON)
 //!   built from the current run's trace ring, audit ledger, and
-//!   gauges — what `tracedump --doctor` reads post-mortem, but
-//!   available while the job is still wedged.
+//!   gauges — the record `hamr doctor` rebuilds post-mortem from the
+//!   journal, but available while the job is still wedged.
 //!
 //! The endpoint is off by default so tests and benchmarks stay
 //! hermetic; opt in with `HAMR_HTTP=auto` (ephemeral port),
 //! `HAMR_HTTP=<port>`, or [`Cluster::serve_introspection`].
 
+use hamr_trace::json::escape;
 use hamr_trace::{
     AlertEngine, AlertEvent, AlertRule, AlertState, Audit, FlightRecord, HttpResponse, HttpServer,
     Journal, JournalRecord, MetricsRegistry, RingSink, RouteHandler, Snapshot, StatsSnapshot,
@@ -27,19 +28,6 @@ use hamr_trace::{
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Escape a string for embedding in a JSON value.
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
-}
 
 /// How the embedded endpoint is configured, usually via `HAMR_HTTP`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,7 +96,7 @@ impl Health {
             now_us,
         );
         if let Some(incident) = &self.incident {
-            out.push_str(&format!(",\"incident\":\"{}\"", json_escape(incident)));
+            out.push_str(&format!(",\"incident\":\"{}\"", escape(incident)));
         }
         match self.incident_since_us {
             Some(since) => out.push_str(&format!(
@@ -218,7 +206,7 @@ impl AlertCenter {
             out.push_str(&format!(
                 "{{\"rule\":\"{}\",\"firing\":{},\"since_us\":{},\"value\":{},\
                  \"threshold\":{},\"fired_total\":{},\"detail\":\"{}\"}}",
-                json_escape(&s.rule),
+                escape(&s.rule),
                 s.firing,
                 s.since_us
                     .map(|v| v.to_string())
@@ -230,7 +218,7 @@ impl AlertCenter {
                 },
                 format_args!("{:.6}", s.threshold),
                 s.fired_total,
-                json_escape(&s.detail),
+                escape(&s.detail),
             ));
         }
         out.push_str("]}");
@@ -238,18 +226,14 @@ impl AlertCenter {
     }
 }
 
-/// What `/doctor` reads besides the registry's gauges: handles into
-/// the most recent (possibly still running) run.
+/// What `/doctor` reads besides the registry's `engine="hamr"`
+/// gauges: handles into the most recent (possibly still running) run.
 #[derive(Default)]
 pub(crate) struct LiveRun {
     pub job: String,
-    pub engine: &'static str,
     pub ring: Option<Arc<RingSink>>,
     pub audit: Option<Audit>,
 }
-
-/// Newest events kept in a live `/doctor` response.
-const DOCTOR_KEEP_LAST: usize = 200;
 
 /// The introspection plane one cluster owns: registry + health +
 /// live-run handles + the (optional) embedded HTTP server.
@@ -369,19 +353,11 @@ impl Introspect {
                     .as_ref()
                     .map(|a| a.report())
                     .unwrap_or_else(|| Audit::disabled().report());
-                let engine = if live.engine.is_empty() {
-                    "hamr"
-                } else {
-                    live.engine
-                };
-                let gauges = registry.snapshot().engine_gauges(engine);
+                let gauges = registry.snapshot().engine_gauges("hamr");
                 let record = FlightRecord::capture(
                     live.job.clone(),
-                    engine,
-                    None,
-                    None,
+                    "hamr",
                     &events,
-                    DOCTOR_KEEP_LAST,
                     dropped,
                     report,
                     gauges,

@@ -85,15 +85,10 @@ impl WatchdogConfig {
     }
 }
 
-/// One classified incident.
-#[derive(Debug, Clone)]
-pub struct WatchdogEvent {
-    pub class: WatchdogClass,
-    /// Monitoring epoch index at which the incident was classified.
-    pub epoch: u64,
-    /// Human-readable diagnosis naming the stuck edge/node.
-    pub detail: String,
-}
+/// One classified incident: its class, the monitoring epoch at which
+/// it was classified, and a diagnosis naming the stuck edge/node — the
+/// same record a flight record carries as its trip.
+pub type WatchdogEvent = hamr_trace::WatchdogTrip;
 
 /// What the watchdog sees at the end of one epoch.
 #[derive(Debug, Clone, Default)]

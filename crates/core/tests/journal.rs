@@ -5,49 +5,11 @@
 //! edge, and an alert rule that demonstrably fires on the wedged run
 //! while staying silent on the healthy one.
 
-use hamr_core::{
-    typed, Cluster, ClusterConfig, Emitter, Exchange, FaultInjection, JobBuilder, JobGraph,
-    RunError, Supervision, WatchdogAction, WatchdogConfig,
-};
+mod common;
+
+use common::{deadlock_config, fast_watchdog, temp_dir, wordcount};
+use hamr_core::{Cluster, ClusterConfig, RunError, Supervision};
 use hamr_trace::{AlertRule, Journal, JournalConfig, JournalRecord, Timeline, WatchdogClass};
-use std::path::PathBuf;
-use std::time::Duration;
-
-fn wordcount(name: &str, lines: usize) -> JobGraph {
-    let corpus: Vec<String> = (0..lines)
-        .map(|i| format!("alpha beta gamma delta key{} alpha", i % 7))
-        .collect();
-    let mut job = JobBuilder::new(name);
-    let loader = job.add_loader("lines", typed::vec_loader(corpus));
-    let words = job.add_map(
-        "split",
-        typed::map_fn(|_line: u64, text: String, out: &mut Emitter| {
-            for w in text.split_whitespace() {
-                out.emit_t(0, &w.to_string(), &1u64);
-            }
-        }),
-    );
-    let counts = job.add_partial_reduce("sum", typed::sum_reducer::<String>());
-    job.connect(loader, words, Exchange::Local);
-    job.connect(words, counts, Exchange::Hash);
-    job.capture_output(counts);
-    job.build().expect("wordcount graph")
-}
-
-fn fast_watchdog() -> WatchdogConfig {
-    WatchdogConfig {
-        epoch: Duration::from_millis(20),
-        patience: 5,
-        action: WatchdogAction::Abort,
-        ..Default::default()
-    }
-}
-
-fn journal_dir(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hamr_journal_e2e_{}_{test}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// The rule under test: any deferred shuffle bin held for two
 /// consecutive watchdog epochs. A healthy quick run never defers that
@@ -58,7 +20,7 @@ fn deferred_rule() -> AlertRule {
 
 #[test]
 fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
-    let dir = journal_dir("reconstruct");
+    let dir = temp_dir("hamr_journal_e2e", "reconstruct");
 
     // Chapter 1: a healthy audited run. The custom alert rule is
     // armed and must stay silent.
@@ -71,7 +33,6 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
                 wordcount("wc-clean", 200),
                 Supervision {
                     watchdog: fast_watchdog(),
-                    doctor_dir: None,
                     ..Default::default()
                 },
             )
@@ -92,11 +53,7 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
     // flow-control ack — the shuffle wedges, the watchdog aborts, and
     // the deferred-bins rule must fire while the job is still wedged.
     {
-        let mut config = ClusterConfig::local(3, 2);
-        config.runtime.bin_capacity = 1;
-        config.runtime.out_window_bins = 1;
-        config.runtime.fault = FaultInjection::DropAcks { node: 1 };
-        let cluster = Cluster::new(config);
+        let cluster = Cluster::new(deadlock_config());
         cluster.enable_journal(&dir).expect("reopen journal");
         cluster.alert_rules(vec![deferred_rule()]);
         let err = cluster
@@ -104,7 +61,6 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
                 wordcount("wc-deadlock", 400),
                 Supervision {
                     watchdog: fast_watchdog(),
-                    doctor_dir: None,
                     ..Default::default()
                 },
             )
@@ -154,18 +110,19 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
         .find(|j| j.job == "wc-deadlock")
         .expect("wedged job in timeline");
     assert_eq!(wedged.ok, Some(false));
+    assert!(wedged.error.is_some(), "JobEnd carries the error text");
     assert!(
         wedged
             .incidents
             .iter()
-            .any(|i| i.class.to_lowercase().contains("backpressure")),
+            .any(|i| i.class == WatchdogClass::Backpressure),
         "incident journaled with its classification: {:?}",
         wedged.incidents
     );
+    let audit = wedged.audit.as_ref().expect("audit epoch journaled");
     assert!(
-        wedged.stuck_edges.iter().any(|e| e.contains("node 1")),
-        "audit epoch names the edge stuck toward the ack-dropper: {:?}",
-        wedged.stuck_edges
+        audit.stuck_rows().iter().any(|(row, _)| row.dst == 1),
+        "audit epoch names the edge stuck toward the ack-dropper: {audit:?}"
     );
     assert!(
         wedged.alerts_fired >= 1,
@@ -199,7 +156,7 @@ fn timeline_reconstructs_a_clean_and_a_killed_run_from_one_journal() {
 /// directory form only long enough to build one cluster.
 #[test]
 fn env_var_enables_the_journal_for_a_cluster() {
-    let dir = journal_dir("envvar");
+    let dir = temp_dir("hamr_journal_e2e", "envvar");
     std::env::set_var("HAMR_JOURNAL", &dir);
     let cluster = Cluster::new(ClusterConfig::local(2, 2));
     std::env::remove_var("HAMR_JOURNAL");

@@ -2,57 +2,26 @@
 //! conservation on healthy jobs, and injected faults — a node that
 //! swallows its completion broadcasts, a node that drops flow-control
 //! acks — must trip the watchdog with the right classification, abort
-//! the run instead of hanging, and leave a parsable flight-recorder
-//! dump behind for `tracedump --doctor`.
+//! the run instead of hanging, and leave the evidence in the journal
+//! from which `hamr doctor` rebuilds the flight record.
 
+mod common;
+
+use common::{deadlock_config, fast_watchdog, temp_dir, wordcount};
 use hamr_core::{
-    typed, Cluster, ClusterConfig, Emitter, Exchange, FaultInjection, JobBuilder, JobGraph,
-    RunError, Supervision, WatchdogAction, WatchdogConfig,
+    Cluster, ClusterConfig, FaultInjection, RunError, Supervision, WatchdogAction, WatchdogConfig,
 };
-use hamr_trace::{AuditStage, FlightRecord, Labels, WatchdogClass};
-use std::path::PathBuf;
+use hamr_trace::{AuditStage, FlightRecord, Labels, Timeline, WatchdogClass};
+use std::path::Path;
 use std::time::Duration;
 
-/// WordCount over `lines` copies of a fixed corpus: loader -> map
-/// (split words) -> partial reduce (sum), hash-shuffled across nodes.
-fn wordcount(name: &str, lines: usize) -> JobGraph {
-    let corpus: Vec<String> = (0..lines)
-        .map(|i| format!("alpha beta gamma delta key{} alpha", i % 7))
-        .collect();
-    let mut job = JobBuilder::new(name);
-    let loader = job.add_loader("lines", typed::vec_loader(corpus));
-    let words = job.add_map(
-        "split",
-        typed::map_fn(|_line: u64, text: String, out: &mut Emitter| {
-            for w in text.split_whitespace() {
-                out.emit_t(0, &w.to_string(), &1u64);
-            }
-        }),
-    );
-    let counts = job.add_partial_reduce("sum", typed::sum_reducer::<String>());
-    job.connect(loader, words, Exchange::Local);
-    job.connect(words, counts, Exchange::Hash);
-    job.capture_output(counts);
-    job.build().expect("wordcount graph")
-}
-
-/// A fast abort-mode watchdog for fault tests: 20ms epochs, patience 5
-/// — trips within ~120ms of the wedge instead of the 1s default.
-fn fast_watchdog() -> WatchdogConfig {
-    WatchdogConfig {
-        epoch: Duration::from_millis(20),
-        patience: 5,
-        action: WatchdogAction::Abort,
-        ..Default::default()
-    }
-}
-
-/// Fresh per-test dump directory under the system temp dir.
-fn dump_dir(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hamr_doctor_{}_{test}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create dump dir");
-    dir
+/// The flight record `hamr doctor` rebuilds for `job` from a journal.
+fn journaled_record(dir: &Path, job: &str) -> FlightRecord {
+    let timeline = Timeline::load(dir).expect("journal loads");
+    timeline
+        .doctor_span(Some(job))
+        .unwrap_or_else(|| panic!("job {job} in journal: {:?}", timeline.jobs))
+        .flight_record()
 }
 
 #[test]
@@ -83,13 +52,13 @@ fn swallowed_completion_trips_the_watchdog_as_hang() {
     let mut config = ClusterConfig::local(3, 2);
     config.runtime.fault = FaultInjection::SwallowEdgeComplete { node: 1 };
     let cluster = Cluster::new(config);
-    let dir = dump_dir("hang");
+    let dir = temp_dir("hamr_doctor", "hang");
+    cluster.enable_journal(&dir).expect("enable journal");
     let err = cluster
         .run_supervised(
             wordcount("wc-hang", 200),
             Supervision {
                 watchdog: fast_watchdog(),
-                doctor_dir: Some(dir.clone()),
                 ..Default::default()
             },
         )
@@ -107,14 +76,12 @@ fn swallowed_completion_trips_the_watchdog_as_hang() {
     // trip must come within a bounded number of epochs, not "eventually".
     assert!(epoch <= 60, "hang detected late, epoch {epoch}: {detail}");
 
-    // The flight recorder dumped a parsable post-mortem.
-    let path = dir.join("doctor_wc-hang.json");
-    let raw = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing doctor dump {path:?}: {e}"));
-    let record = FlightRecord::parse(&raw).expect("parsable flight record");
+    // The journal holds the post-mortem.
+    let record = journaled_record(&dir, "wc-hang");
     let trip = record.trip.as_ref().expect("trip recorded");
     assert_eq!(trip.class, WatchdogClass::Hang);
     assert_eq!(record.job, "wc-hang");
+    assert!(record.error.is_some(), "the aborted run's error text");
     let findings = record.diagnose();
     assert!(
         findings[0].contains("hang"),
@@ -125,21 +92,14 @@ fn swallowed_completion_trips_the_watchdog_as_hang() {
 
 #[test]
 fn dropped_acks_trip_the_watchdog_as_backpressure_deadlock() {
-    let mut config = ClusterConfig::local(3, 2);
-    // One record per bin and a one-bin window: the shuffle wedges the
-    // moment node 1 stops acking — every producer's window to node 1
-    // stays full and deferred bins pile up behind it.
-    config.runtime.bin_capacity = 1;
-    config.runtime.out_window_bins = 1;
-    config.runtime.fault = FaultInjection::DropAcks { node: 1 };
-    let cluster = Cluster::new(config);
-    let dir = dump_dir("backpressure");
+    let cluster = Cluster::new(deadlock_config());
+    let dir = temp_dir("hamr_doctor", "backpressure");
+    cluster.enable_journal(&dir).expect("enable journal");
     let err = cluster
         .run_supervised(
             wordcount("wc-deadlock", 400),
             Supervision {
                 watchdog: fast_watchdog(),
-                doctor_dir: Some(dir.clone()),
                 ..Default::default()
             },
         )
@@ -163,8 +123,7 @@ fn dropped_acks_trip_the_watchdog_as_backpressure_deadlock() {
     );
 
     // The post-mortem names a stuck edge toward the ack-dropping node.
-    let raw = std::fs::read_to_string(dir.join("doctor_wc-deadlock.json")).expect("doctor dump");
-    let record = FlightRecord::parse(&raw).expect("parsable flight record");
+    let record = journaled_record(&dir, "wc-deadlock");
     assert_eq!(
         record.trip.as_ref().expect("trip recorded").class,
         WatchdogClass::Backpressure
@@ -199,7 +158,6 @@ fn warn_mode_records_the_incident_without_aborting_a_live_job() {
                     action: WatchdogAction::Warn,
                     ..Default::default()
                 },
-                doctor_dir: None,
                 ..Default::default()
             },
         )
@@ -221,7 +179,6 @@ fn watchdog_off_disables_monitoring_but_not_the_ledger() {
                     action: WatchdogAction::Off,
                     ..Default::default()
                 },
-                doctor_dir: None,
                 ..Default::default()
             },
         )
@@ -246,7 +203,6 @@ fn a_run_starts_its_gauges_from_zero() {
             wordcount("wc-fresh", 200),
             Supervision {
                 watchdog: fast_watchdog(),
-                doctor_dir: None,
                 ..Default::default()
             },
         )

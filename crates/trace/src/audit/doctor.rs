@@ -1,13 +1,16 @@
-//! Post-mortem flight recorder and the `doctor` diagnosis it feeds.
+//! The flight record and the `doctor` diagnosis it feeds.
 //!
-//! When the watchdog trips or a supervised job fails, the cluster dumps
-//! a bounded black-box snapshot — the last-K trace events, the custody
-//! ledger, and every live gauge — to `doctor_<job>.json`. The analysis
-//! lives here (not in the `tracedump` binary) so tests and other tools
-//! can diagnose a record without shelling out.
+//! A [`FlightRecord`] is a bounded black-box view of one job — the
+//! watchdog trip, the error, the last-K trace events, the custody
+//! ledger and every live gauge. It is built two ways: live, by the
+//! cluster's `/doctor` endpoint from the running job's trace ring and
+//! ledger ([`FlightRecord::capture`]); and post-mortem, from the
+//! journal (`JobSpan::flight_record`), which `hamr doctor` renders.
+//! The analysis lives here so tests and tools diagnose a record
+//! without shelling out.
 
 use super::{AuditReport, AuditStage};
-use crate::json::{self, escape, Json};
+use crate::json::escape;
 use crate::{EventKind, TraceEvent, WatchdogClass};
 
 /// One registry gauge at dump time: the series name with its labels
@@ -29,7 +32,7 @@ impl GaugeValue {
 
 /// A trace event flattened for the black box: the structured
 /// [`EventKind`] becomes a name plus numeric args, which is all the
-/// doctor needs to print a tail and is stable to parse back.
+/// doctor needs to print a tail and is stable to store in the journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedEvent {
     pub t_us: u64,
@@ -41,9 +44,8 @@ pub struct RecordedEvent {
 
 impl RecordedEvent {
     /// Flatten a live [`TraceEvent`](crate::TraceEvent) into the
-    /// recorded form. Keys are sorted so round-trips (JSON args parse
-    /// back out of an ordered map; the journal's binary codec) are
-    /// identities.
+    /// recorded form. Keys are sorted so the journal's binary codec
+    /// round-trips it as an identity.
     pub fn from_event(ev: &crate::TraceEvent) -> RecordedEvent {
         let (name, args) = event_fields(&ev.kind);
         let mut args: Vec<(String, u64)> =
@@ -67,7 +69,15 @@ pub struct WatchdogTrip {
     pub detail: String,
 }
 
-/// The bounded post-mortem snapshot written to `doctor_<job>.json`.
+impl std::fmt::Display for WatchdogTrip {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (class, epoch) = (self.class.name(), self.epoch);
+        write!(f, "watchdog {class} at epoch {epoch}: {}", self.detail)
+    }
+}
+
+/// One job's bounded black-box snapshot: served live as JSON at
+/// `/doctor`, rebuilt post-mortem from the journal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecord {
     pub job: String,
@@ -217,27 +227,27 @@ pub fn event_fields(kind: &EventKind) -> (&'static str, Vec<(&'static str, u64)>
     }
 }
 
+/// Newest trace events a flight record keeps.
+pub const EVENT_TAIL: usize = 200;
+
 impl FlightRecord {
-    /// Build a record from live run state, keeping only the newest
-    /// `keep_last` trace events.
-    #[allow(clippy::too_many_arguments)]
+    /// Build a record from a running job's state, keeping only the
+    /// newest [`EVENT_TAIL`] trace events. A live record carries no trip
+    /// or error; those reach the journal when the run ends.
     pub fn capture(
         job: impl Into<String>,
         engine: impl Into<String>,
-        trip: Option<WatchdogTrip>,
-        error: Option<String>,
         events: &[TraceEvent],
-        keep_last: usize,
         dropped_events: u64,
         audit: AuditReport,
         gauges: Vec<GaugeValue>,
     ) -> Self {
-        let skip = events.len().saturating_sub(keep_last);
+        let skip = events.len().saturating_sub(EVENT_TAIL);
         FlightRecord {
             job: job.into(),
             engine: engine.into(),
-            trip,
-            error,
+            trip: None,
+            error: None,
             events: events[skip..]
                 .iter()
                 .map(RecordedEvent::from_event)
@@ -302,96 +312,6 @@ impl FlightRecord {
         }
         out.push_str("]}");
         out
-    }
-
-    /// Parse a `doctor_<job>.json` document.
-    pub fn parse(text: &str) -> Result<FlightRecord, String> {
-        let v = json::parse(text)?;
-        let s = |j: Option<&Json>, what: &str| {
-            j.and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("flight record missing {what}"))
-        };
-        let trip = match v.get("trip") {
-            None | Some(Json::Null) => None,
-            Some(t) => {
-                let class_name = s(t.get("class"), "trip.class")?;
-                Some(WatchdogTrip {
-                    class: WatchdogClass::from_name(&class_name)
-                        .ok_or_else(|| format!("unknown watchdog class {class_name:?}"))?,
-                    epoch: t
-                        .get("epoch")
-                        .and_then(Json::as_u64)
-                        .ok_or("flight record missing trip.epoch")?,
-                    detail: s(t.get("detail"), "trip.detail")?,
-                })
-            }
-        };
-        let error = match v.get("error") {
-            None | Some(Json::Null) => None,
-            Some(e) => Some(e.as_str().ok_or("error must be a string")?.to_string()),
-        };
-        let mut events = Vec::new();
-        for ej in v
-            .get("events")
-            .and_then(Json::as_arr)
-            .ok_or("flight record missing events")?
-        {
-            let mut args = Vec::new();
-            if let Some(Json::Obj(m)) = ej.get("args") {
-                for (k, val) in m {
-                    args.push((
-                        k.clone(),
-                        val.as_u64().ok_or("event arg must be a non-negative int")?,
-                    ));
-                }
-            }
-            events.push(RecordedEvent {
-                t_us: ej
-                    .get("t_us")
-                    .and_then(Json::as_u64)
-                    .ok_or("event missing t_us")?,
-                node: ej
-                    .get("node")
-                    .and_then(Json::as_u64)
-                    .ok_or("event missing node")? as u32,
-                worker: ej
-                    .get("worker")
-                    .and_then(Json::as_u64)
-                    .ok_or("event missing worker")? as u32,
-                name: s(ej.get("name"), "event name")?,
-                args,
-            });
-        }
-        let mut gauges = Vec::new();
-        for gj in v
-            .get("gauges")
-            .and_then(Json::as_arr)
-            .ok_or("flight record missing gauges")?
-        {
-            gauges.push(GaugeValue {
-                name: s(gj.get("name"), "gauge name")?,
-                node: gj
-                    .get("node")
-                    .and_then(Json::as_u64)
-                    .ok_or("gauge missing node")? as u32,
-                value: gj
-                    .get("value")
-                    .and_then(Json::as_f64)
-                    .ok_or("gauge missing value")? as i64,
-            });
-        }
-        Ok(FlightRecord {
-            job: s(v.get("job"), "job")?,
-            engine: s(v.get("engine"), "engine")?,
-            trip,
-            error,
-            events,
-            // Absent in records written before drop accounting existed.
-            dropped_events: v.get("dropped_events").and_then(Json::as_u64).unwrap_or(0),
-            audit: AuditReport::from_json(v.get("audit").ok_or("flight record missing audit")?)?,
-            gauges,
-        })
     }
 
     /// Ranked findings, most damning first. Each is one plain sentence.
@@ -461,7 +381,11 @@ impl FlightRecord {
         if let Some(e) = &self.error {
             findings.push(format!("job error: {e}"));
         }
-        if findings.len() == (self.trip.is_some() as usize) + (self.error.is_some() as usize) {
+        // A recorded ledger with no gap and no hot gauge points at
+        // completion signalling; a run with no ledger (unsupervised)
+        // offers no such evidence.
+        let evidence = (self.trip.is_some() as usize) + (self.error.is_some() as usize);
+        if self.audit.edges > 0 && findings.len() == evidence {
             findings.push(
                 "no custody gap and no hot gauges: suspect completion signalling \
                  (a flowlet that never announced EdgeComplete)"
@@ -589,32 +513,20 @@ mod tests {
                 },
             },
         ];
-        FlightRecord::capture(
-            "wordcount",
-            "hamr",
-            Some(WatchdogTrip {
+        let gauges = vec![GaugeValue {
+            name: "queue_depth{node=\"1\",flowlet=\"2\"}".into(),
+            node: 1,
+            value: 1,
+        }];
+        FlightRecord {
+            trip: Some(WatchdogTrip {
                 class: WatchdogClass::Hang,
                 epoch: 6,
                 detail: "no progress for 6 epochs".into(),
             }),
-            Some("aborted by watchdog".into()),
-            &events,
-            64,
-            3,
-            audit.report(),
-            vec![GaugeValue {
-                name: "queue_depth{node=\"1\",flowlet=\"2\"}".into(),
-                node: 1,
-                value: 1,
-            }],
-        )
-    }
-
-    #[test]
-    fn flight_record_round_trips_through_json() {
-        let record = sample_record();
-        let parsed = FlightRecord::parse(&record.to_json()).expect("parse back");
-        assert_eq!(parsed, record);
+            error: Some("aborted by watchdog".into()),
+            ..FlightRecord::capture("wordcount", "hamr", &events, 3, audit.report(), gauges)
+        }
     }
 
     #[test]
@@ -633,7 +545,7 @@ mod tests {
 
     #[test]
     fn capture_keeps_only_the_newest_events() {
-        let events: Vec<TraceEvent> = (0..100)
+        let events: Vec<TraceEvent> = (0..EVENT_TAIL as u64 + 16)
             .map(|i| TraceEvent {
                 t_us: i,
                 node: 0,
@@ -641,47 +553,27 @@ mod tests {
                 kind: EventKind::DiskRead { bytes: i },
             })
             .collect();
-        let record = FlightRecord::capture(
-            "j",
-            "hamr",
-            None,
-            None,
-            &events,
-            16,
-            0,
-            Audit::disabled().report(),
-            Vec::new(),
-        );
-        assert_eq!(record.events.len(), 16);
-        assert_eq!(record.events[0].t_us, 84, "oldest kept event");
-        assert_eq!(record.events.last().unwrap().t_us, 99);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(FlightRecord::parse("not json").is_err());
-        assert!(FlightRecord::parse("{}").is_err());
-        assert!(FlightRecord::parse("{\"job\":\"x\"}").is_err());
+        let record =
+            FlightRecord::capture("j", "hamr", &events, 0, Audit::disabled().report(), vec![]);
+        assert_eq!(record.events.len(), EVENT_TAIL);
+        assert_eq!(record.events[0].t_us, 16, "oldest kept event");
+        assert_eq!(record.events.last().unwrap().t_us, EVENT_TAIL as u64 + 15);
     }
 
     #[test]
     fn clean_record_diagnosis_points_at_completion_signalling() {
-        let record = FlightRecord::capture(
-            "clean",
-            "hamr",
-            None,
-            None,
-            &[],
-            8,
-            0,
-            Audit::new(1, 1).report(),
-            Vec::new(),
-        );
+        let record =
+            FlightRecord::capture("clean", "hamr", &[], 0, Audit::new(1, 1).report(), vec![]);
         let findings = record.diagnose();
         assert_eq!(findings.len(), 1);
         assert!(
             findings[0].contains("completion signalling"),
             "{findings:?}"
         );
+        let unaudited = FlightRecord {
+            error: Some("node 0 panicked".into()),
+            ..FlightRecord::capture("plain", "hamr", &[], 0, Audit::disabled().report(), vec![])
+        };
+        assert_eq!(unaudited.diagnose(), ["job error: node 0 panicked"]);
     }
 }

@@ -109,13 +109,16 @@ pub enum JournalRecord {
         t_us: u64,
     },
     /// The matching completion (ok or failed). A `JobStart` with no
-    /// `JobEnd` is a run killed mid-flight.
+    /// `JobEnd` is a run killed mid-flight. `error` is the failed
+    /// run's error text; it is encoded as an optional trailing field,
+    /// so records written before it existed decode with `None`.
     JobEnd {
         job: String,
         ok: bool,
         t_us: u64,
         elapsed_us: u64,
         shuffled_bytes: u64,
+        error: Option<String>,
     },
     /// A trace event, flattened exactly as the flight recorder stores
     /// it — tapped from the ring sink before overwrite, or the ring
@@ -528,6 +531,7 @@ impl JournalRecord {
                 t_us,
                 elapsed_us,
                 shuffled_bytes,
+                error,
             } => {
                 buf.push(TAG_JOB_END);
                 put_str(&mut buf, job);
@@ -535,6 +539,9 @@ impl JournalRecord {
                 put_u64(&mut buf, *t_us);
                 put_u64(&mut buf, *elapsed_us);
                 put_u64(&mut buf, *shuffled_bytes);
+                if let Some(e) = error {
+                    put_str(&mut buf, e);
+                }
             }
             JournalRecord::Event(ev) => {
                 buf.push(TAG_EVENT);
@@ -607,6 +614,11 @@ impl JournalRecord {
                 t_us: cur.u64()?,
                 elapsed_us: cur.u64()?,
                 shuffled_bytes: cur.u64()?,
+                error: if cur.off < cur.buf.len() {
+                    Some(cur.str()?)
+                } else {
+                    None
+                },
             },
             TAG_EVENT => {
                 let t_us = cur.u64()?;
@@ -1174,6 +1186,15 @@ mod tests {
                 t_us: 40,
                 elapsed_us: 30,
                 shuffled_bytes: 1234,
+                error: Some("node 1 panicked: boom".into()),
+            },
+            JournalRecord::JobEnd {
+                job: "wc".into(),
+                ok: true,
+                t_us: 50,
+                elapsed_us: 10,
+                shuffled_bytes: 0,
+                error: None,
             },
         ]
     }
@@ -1185,6 +1206,14 @@ mod tests {
             let decoded = JournalRecord::decode(&encoded).expect("decode");
             assert_eq!(decoded, rec);
         }
+    }
+
+    #[test]
+    fn job_end_without_error_keeps_the_old_layout() {
+        // Tag, job, ok, t_us, elapsed_us, shuffled_bytes and nothing
+        // more: journals written before the error field still load.
+        let rec = sample_records().pop().expect("error-free JobEnd last");
+        assert_eq!(rec.encode().len(), 1 + (4 + 2) + 1 + 3 * 8);
     }
 
     #[test]

@@ -49,6 +49,9 @@ fn random_record(i: u64, state: &mut u64) -> JournalRecord {
             t_us: i,
             elapsed_us: lcg(state) % 1_000_000,
             shuffled_bytes: lcg(state),
+            error: lcg(state)
+                .is_multiple_of(3)
+                .then(|| format!("node {} panicked", i % 4)),
         },
         _ => JournalRecord::Incident {
             job: format!("job-{i}"),

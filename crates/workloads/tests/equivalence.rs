@@ -13,9 +13,8 @@ use hamr_workloads::{all_benchmarks, Benchmark, Env, SimParams};
 fn audited(env: &Env) {
     env.hamr.attach_supervisor(Supervision {
         // Pinned config so an ambient HAMR_WATCHDOG=off cannot hollow
-        // out the assertion; no doctor dumps from tests.
+        // out the assertion.
         watchdog: WatchdogConfig::default(),
-        doctor_dir: None,
         ..Default::default()
     });
     env.mr.attach_audit();

@@ -53,7 +53,6 @@ fn check(bench: &dyn Benchmark) {
         // scheduler shuffles tasks between workers.
         env.hamr.attach_supervisor(Supervision {
             watchdog: WatchdogConfig::default(),
-            doctor_dir: None,
             ..Default::default()
         });
         let out = bench.run_hamr(&env).expect("hamr run");
