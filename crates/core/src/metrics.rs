@@ -1,6 +1,6 @@
 //! Execution metrics: what the evaluation chapters read off a run.
 
-use hamr_trace::{FlowletSummaryRow, Labels, LatencyHistogram, MetricsRegistry};
+use hamr_trace::{Labels, LatencyHistogram, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -177,28 +177,6 @@ impl JobMetrics {
             / self.nodes.len() as f64
     }
 
-    /// Per-flowlet summary rows (graph order) for
-    /// [`hamr_trace::render_summary`].
-    pub fn summary_rows(&self) -> Vec<FlowletSummaryRow> {
-        self.flowlets
-            .values()
-            .map(|f| {
-                FlowletSummaryRow {
-                    name: f.name.clone(),
-                    kind: f.kind.to_string(),
-                    tasks: f.tasks,
-                    records_in: f.records_in,
-                    records_out: f.records_out,
-                    stall_us: f.stall_time.as_micros() as u64,
-                    stalls: f.flow_control_stalls,
-                    spilled_bytes: f.spilled_bytes,
-                    ..Default::default()
-                }
-                .with_latency(&f.task_latency)
-            })
-            .collect()
-    }
-
     /// Fold this job's end-of-run metrics into the unified registry as
     /// cumulative engine-labeled series. Per-flowlet and per-node
     /// series deliberately omit the job label so iterative workloads
@@ -326,31 +304,6 @@ mod tests {
         assert!((m.utilization_clamped(4) - 0.5).abs() < 1e-9);
         let zero = NodeMetrics::default();
         assert_eq!(zero.utilization(4), 0.0);
-    }
-
-    #[test]
-    fn summary_rows_reflect_flowlets() {
-        let mut jm = JobMetrics::default();
-        let mut fm = FlowletMetrics {
-            name: "SplitMap".into(),
-            kind: "map",
-            tasks: 10,
-            records_in: 1000,
-            records_out: 500,
-            flow_control_stalls: 3,
-            stall_time: Duration::from_millis(7),
-            ..Default::default()
-        };
-        fm.task_latency.record_us(100);
-        fm.task_latency.record_us(200);
-        jm.flowlets.insert(0, fm);
-        let rows = jm.summary_rows();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].name, "SplitMap");
-        assert_eq!(rows[0].stalls, 3);
-        assert_eq!(rows[0].stall_us, 7000);
-        assert!(rows[0].p50_us >= 100);
-        assert!(rows[0].p50_us <= rows[0].p99_us);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 use hamr_core::{
     typed, Cluster, ClusterConfig, Emitter, Exchange, JobBuilder, JobResult, RuntimeConfig,
 };
-use hamr_trace::{chrome_trace_json, json, EventKind, NoopSink, RingSink, TraceEvent, Tracer};
+use hamr_trace::{
+    chrome_trace_json, json, summary_rows, EventKind, NoopSink, RingSink, TraceEvent, Tracer,
+};
 use std::sync::Arc;
 
 fn wordcount_lines() -> Vec<String> {
@@ -216,8 +218,9 @@ fn chrome_export_is_valid_parseable_json() {
 #[test]
 fn summary_rows_have_ordered_quantiles() {
     let cluster = Cluster::new(ClusterConfig::local(3, 2));
-    let result = run_wordcount(&cluster, None);
-    let rows = result.metrics.summary_rows();
+    let sink = Arc::new(RingSink::new(16, 8192));
+    run_wordcount(&cluster, Some(Tracer::new(sink.clone())));
+    let rows = summary_rows(&sink.drain());
     assert_eq!(rows.len(), 3, "loader, map, partial-reduce");
     for row in &rows {
         assert!(row.tasks > 0, "{} ran no tasks", row.name);

@@ -14,6 +14,7 @@
 //!   instant;
 //! * `"M"` metadata events name processes and the synthetic lanes.
 
+use crate::audit::event_fields;
 use crate::json::escape;
 use crate::{EventKind, TraceEvent, WORKER_DISK, WORKER_NET, WORKER_RUNTIME};
 use std::collections::BTreeSet;
@@ -320,46 +321,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                     ("span", *span),
                 ],
             )),
-            EventKind::NetSend { to, bytes } => em.push(instant(
-                "net-send",
-                "net",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("to", *to as u64), ("bytes", *bytes)],
-            )),
-            EventKind::NetDeliver { from, bytes } => em.push(instant(
-                "net-deliver",
-                "net",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("from", *from as u64), ("bytes", *bytes)],
-            )),
-            EventKind::ReduceFire { flowlet, shards } => em.push(instant(
-                "reduce-fire",
-                "dataflow",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("flowlet", *flowlet as u64), ("shards", *shards as u64)],
-            )),
-            EventKind::TaskStolen {
-                thief,
-                victim,
-                flowlet,
-            } => em.push(instant(
-                "task-stolen",
-                "sched",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[
-                    ("thief", *thief as u64),
-                    ("victim", *victim as u64),
-                    ("flowlet", *flowlet as u64),
-                ],
-            )),
             EventKind::WorkerParked => {
                 em.push(instant("parked", "sched", ev.node, ev.worker, ev.t_us, &[]))
             }
@@ -377,30 +338,24 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
                     &[],
                 ));
             }
-            EventKind::DiskRead { bytes } => em.push(instant(
-                "disk-read",
-                "disk",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("bytes", *bytes)],
-            )),
-            EventKind::DiskWrite { bytes } => em.push(instant(
-                "disk-write",
-                "disk",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("bytes", *bytes)],
-            )),
-            EventKind::Watchdog { class, epoch } => em.push(instant(
-                &format!("watchdog-{}", class.name()),
-                "watchdog",
-                ev.node,
-                ev.worker,
-                ev.t_us,
-                &[("epoch", *epoch)],
-            )),
+            // Plain instants, under their flight-record name and args.
+            kind @ (EventKind::NetSend { .. }
+            | EventKind::NetDeliver { .. }
+            | EventKind::ReduceFire { .. }
+            | EventKind::TaskStolen { .. }
+            | EventKind::DiskRead { .. }
+            | EventKind::DiskWrite { .. }
+            | EventKind::Watchdog { .. }) => {
+                let cat = match kind {
+                    EventKind::NetSend { .. } | EventKind::NetDeliver { .. } => "net",
+                    EventKind::TaskStolen { .. } => "sched",
+                    EventKind::DiskRead { .. } | EventKind::DiskWrite { .. } => "disk",
+                    EventKind::Watchdog { .. } => "watchdog",
+                    _ => "dataflow",
+                };
+                let (name, args) = event_fields(kind);
+                em.push(instant(name, cat, ev.node, ev.worker, ev.t_us, &args));
+            }
         }
     }
 

@@ -1,11 +1,11 @@
-//! Plain-text per-flowlet summary rendering and per-worker occupancy
-//! analysis.
+//! Per-flowlet summaries and per-worker occupancy folded from a trace,
+//! and their plain-text rendering.
 
 use crate::{EventKind, LatencyHistogram, TraceEvent};
 use std::collections::BTreeMap;
 
-/// One row of the per-flowlet summary table. Engines fill these from
-/// their aggregated metrics; `render_summary` turns them into text.
+/// One row of the per-flowlet summary table. [`summary_rows`] folds
+/// them from a trace; `render_summary` turns them into text.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlowletSummaryRow {
     pub name: String,
@@ -51,6 +51,61 @@ fn fmt_bytes(b: u64) -> String {
     } else {
         format!("{b}B")
     }
+}
+
+/// Per-flowlet summary rows from a run's trace, for either engine:
+/// task durations pair `TaskStart`/`TaskEnd` per (node, worker) lane,
+/// flow-control stalls are charged to the producing flowlet, and spill
+/// bytes to the spilling one.
+pub fn summary_rows(events: &[TraceEvent]) -> Vec<FlowletSummaryRow> {
+    let mut open: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+    let mut rows: BTreeMap<u32, (FlowletSummaryRow, LatencyHistogram)> = BTreeMap::new();
+    for e in events {
+        let flowlet = match &e.kind {
+            EventKind::TaskStart { .. } => {
+                open.insert((e.node, e.worker), e.t_us);
+                continue;
+            }
+            EventKind::TaskEnd { flowlet, .. }
+            | EventKind::FlowControlStall { flowlet, .. }
+            | EventKind::FlowControlResume { flowlet, .. }
+            | EventKind::SpillEnd { flowlet, .. } => *flowlet,
+            _ => continue,
+        };
+        let (row, hist) = rows.entry(flowlet).or_default();
+        match &e.kind {
+            EventKind::TaskEnd {
+                task,
+                records_in,
+                records_out,
+                ..
+            } => {
+                let Some(start) = open.remove(&(e.node, e.worker)) else {
+                    continue;
+                };
+                hist.record_us(e.t_us.saturating_sub(start));
+                row.tasks += 1;
+                row.records_in += records_in;
+                row.records_out += records_out;
+                if !row.kind.split('/').any(|k| k == task.name()) {
+                    if !row.kind.is_empty() {
+                        row.kind.push('/');
+                    }
+                    row.kind.push_str(task.name());
+                }
+            }
+            EventKind::FlowControlStall { .. } => row.stalls += 1,
+            EventKind::FlowControlResume { stalled_us, .. } => row.stall_us += stalled_us,
+            EventKind::SpillEnd { bytes, .. } => row.spilled_bytes += bytes,
+            _ => {}
+        }
+    }
+    rows.into_iter()
+        .map(|(flowlet, (row, hist))| FlowletSummaryRow {
+            name: format!("flowlet {flowlet}"),
+            ..row.with_latency(&hist)
+        })
+        .collect()
 }
 
 /// Render an aligned fixed-width table of per-flowlet statistics.
@@ -257,6 +312,49 @@ pub fn render_occupancy(rows: &[WorkerOccupancyRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TaskKind;
+
+    #[test]
+    fn summary_rows_charge_tasks_stalls_and_spills_per_flowlet() {
+        let (fold, spill) = (TaskKind::PartialFold, |bytes| EventKind::SpillEnd {
+            flowlet: 2,
+            bytes,
+        });
+        let kinds = [
+            EventKind::TaskStart {
+                task: fold,
+                flowlet: 2,
+                span: 0,
+            },
+            spill(4096),
+            EventKind::TaskEnd {
+                task: fold,
+                flowlet: 2,
+                records_in: 7,
+                records_out: 0,
+            },
+            EventKind::FlowControlStall {
+                flowlet: 1,
+                edge: 0,
+                dst: 1,
+                span: 0,
+            },
+            spill(1024),
+        ];
+        let events: Vec<TraceEvent> = (0..)
+            .zip(kinds)
+            .map(|(t_us, kind)| TraceEvent {
+                t_us,
+                node: 0,
+                worker: 0,
+                kind,
+            })
+            .collect();
+        let rows = summary_rows(&events);
+        assert_eq!((rows[0].name.as_str(), rows[0].stalls), ("flowlet 1", 1));
+        assert_eq!((rows[1].tasks, rows[1].records_in), (1, 7));
+        assert_eq!(rows[1].spilled_bytes, 5120, "both spills charged");
+    }
 
     #[test]
     fn renders_aligned_table() {
